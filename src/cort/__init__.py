@@ -9,7 +9,7 @@ from .bounds import (BoundReport, MomentTables, chernoff_grid, d_cfe_g,
                      gallager_reference_bsc, rcu_exact_bsc,
                      tau_distribution, tau_h_distribution)
 from .channel import BscChannel, error_weight_distribution, transmit
-from .decoder import DecodeOutcome, StackEntry, ml_consistency_check, ssdgu_decode
+from .decoder import DecodeOutcome, ml_consistency_check, ssdgu_decode
 from .measure import CostModel, check_aec, extend_cost, prefix_cost
 from .montecarlo import (SimStats, TrialConfig, estimate_cle, ml_oracle,
                          simulate)
@@ -23,7 +23,7 @@ from .tree_code import (GeneratorMatrix, ProfileError, TreeProfile, children,
 __all__ = [
     "BoundReport", "BscChannel", "CostModel", "DecodeOutcome",
     "GeneratorMatrix", "MomentTables", "ProfileError", "SbpStep", "SbpTrace",
-    "SimStats", "StackEntry", "TreeProfile", "TrialConfig", "candidate_sweep",
+    "SimStats", "TreeProfile", "TrialConfig", "candidate_sweep",
     "check_aec", "chernoff_grid", "children", "d_cfe_g", "d_cle_g",
     "d_cle_m_exact", "d_e_g", "encode", "encode_prefix", "error_weight_distribution",
     "estimate_cle", "expected_checks_bound", "extend_cost",

@@ -20,6 +20,7 @@ from . import __version__
 from .bounds import (CSV_HEADER, MomentTables, chernoff_grid, d_e_g,
                      gallager_reference_bsc, rcu_exact_bsc)
 from .channel import BscChannel
+from .decoder import BYTES_PER_CHECK, decode_memory_bytes
 from .measure import CostModel
 from .montecarlo import TrialConfig, simulate
 from .sbp import sbp_optimize
@@ -95,11 +96,20 @@ def _resolve_profile(args):
         prof = load_profile(args.profile)
     except OSError as exc:
         raise CliError(f"cannot read profile file {args.profile}: {exc}") from exc
+    except KeyError as exc:
+        raise CliError(f"profile file {args.profile} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # bad JSON, or a ProfileError
+        raise CliError(f"invalid profile file {args.profile}: {exc}") from exc
     if args.n is not None and args.n != prof.n:
         raise CliError(f"--n {args.n} conflicts with profile n={prof.n}")
     if args.k is not None and args.k != prof.k:
         raise CliError(f"--k {args.k} conflicts with profile k={prof.k}")
     return prof
+
+
+def _validate_grid_points(args):
+    if args.grid_points < 2:
+        raise CliError(f"--grid-points must be at least 2, got {args.grid_points}")
 
 
 def _validate_channel(args):
@@ -113,6 +123,7 @@ def _validate_channel(args):
 
 def cmd_bound(args) -> int:
     _validate_channel(args)
+    _validate_grid_points(args)
     prof = _resolve_profile(args)
     if args.limit < 1:
         raise CliError("--limit must be at least 1")
@@ -142,6 +153,7 @@ def cmd_bound(args) -> int:
 
 def cmd_sbp(args) -> int:
     _validate_channel(args)
+    _validate_grid_points(args)
     if args.n is None or args.k is None:
         raise CliError("--n and --k are required")
     if args.limit < 1:
@@ -191,14 +203,17 @@ def cmd_simulate(args) -> int:
     prof = _resolve_profile(args)
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    if args.limit < 1:
-        raise CliError("--limit must be at least 1")
-    entry_bytes = 64 + 2 * prof.k
-    est = args.limit * entry_bytes
+    c0 = prof.branch_fanout[0]
+    if args.limit < c0:
+        raise CliError(
+            f"--limit {args.limit} is below the root fanout c_0 = 2^{prof.s[0]} "
+            f"= {c0}; the decoder checks every root child first")
+    est = decode_memory_bytes(prof, args.limit)
     if est > 4e9:
         raise CliError(
-            f"limit {args.limit} could require about {est / 1e9:.1f} GB of "
-            f"stack memory ({entry_bytes} bytes per entry); reduce --limit")
+            f"one decode could need about {est / 1e9:.1f} GB (the largest "
+            f"stage's sibling block plus {BYTES_PER_CHECK} bytes per node "
+            f"check); reduce --limit or the bits per stage")
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,
@@ -257,6 +272,7 @@ def table_rows(table: int, grid_points: int = 10):
 
 
 def cmd_tables(args) -> int:
+    _validate_grid_points(args)
     tables_to_run = [args.paper_table] if args.paper_table else [1, 2, 3, 4]
     header = CSV_HEADER + ["printed_d_cle_g", "printed_d_cfe_g",
                            "printed_d_e_g", "printed_additive_consistent"]

@@ -1,16 +1,27 @@
 """Stack-based sequential decoding with give-up.
 
-Best-first search over the code tree: the stack (a min-heap) is seeded with
-the root's children, and the lowest-cost node is repeatedly popped and
-expanded until a terminal node surfaces or the node-check budget L is
-exhausted, in which case the decoder gives up and returns the error marker.
+Best-first search over the code tree: the cheapest checked node is repeatedly
+popped and expanded until a terminal node surfaces or the node-check budget L
+is exhausted, in which case the decoder gives up and returns the error marker.
+Expanding a stage-h node checks all c_h of its children at once.
 
 Because the cost measure only accumulates, a returned message is guaranteed
 to attain the minimum full-path cost among all 2^k terminal nodes.
 
-Heap ordering is (cost, depth descending, prefix lexicographic): the cost key
-is the algorithm's; the depth-then-lexicographic tie-break is fixed here so
+Pop order is (cost, depth descending, prefix lexicographic): the cost key is
+the algorithm's; the depth-then-lexicographic tie-break is fixed here so
 that runs are deterministic and terminals win cost ties.
+
+The stack is kept in sorted-successor form (Jelinek 1969; Zigangirov 1966).
+Expanding a node computes its children's costs as one block and sorts them
+by (cost, prefix); the heap holds one cursor per expanded parent, keyed by
+that parent's cheapest unpopped child, and popping a child advances its
+cursor to the next sibling.  The pops are exactly those of a heap holding
+every checked node, while the heap holds at most one entry per expanded
+node.
+Prefixes are packed into Python ints with the first message bit most
+significant, so at equal depth integer order is lexicographic order; they
+are unpacked to tuples only for the result and trace records.
 """
 
 from __future__ import annotations
@@ -21,23 +32,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import CostModel, prefix_cost
-from .tree_code import GeneratorMatrix, encode
+from .tree_code import GeneratorMatrix, TreeProfile, encode
 
-
-@dataclass(frozen=True)
-class StackEntry:
-    """A node on the stack: its message prefix, branching stage, and the
-    prefix cost through the last time the prefix determines."""
-
-    message_prefix: tuple
-    stage: int
-    cost: float
+# Peak memory a decode holds per checked node, measured as peak RSS growth
+# over 4e5 checks on a fanout-2 staircase that gives up (about 220 B).
+# Fanout 2 is the worst case: each expansion keeps a heap entry, a cursor
+# and two small arrays for only two children; wide stages need ~16 B a child.
+BYTES_PER_CHECK = 224
 
 
 @dataclass(frozen=True)
 class DecodeOutcome:
     """Decoder result: the message (None when the decoder gave up), the final
-    node-check count, and the peak stack occupancy."""
+    node-check count, and the peak stack size.
+
+    max_stack_size is the peak number of checked but not yet popped nodes
+    (node checks minus pops, taken after each expansion).  It is the size
+    a stack holding every checked node would reach; the decoder computes it
+    rather than materializing such a stack.
+    """
 
     result: tuple | None
     nodes_checked: int
@@ -48,58 +61,55 @@ class DecodeOutcome:
         return self.result is None
 
 
-class _StageTables:
-    """Per-stage expansion machinery for one generator matrix.
+def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
+    """Estimated peak memory of one decode: the largest sibling block (its
+    suffix-output table, mismatch mask and the mask's float64 copy, 10 B per
+    child and output symbol) plus BYTES_PER_CHECK per node check."""
+    r = profile.stage_end_times()
+    block = max(fanout * int(r[h + 1] - r[h])
+                for h, fanout in enumerate(profile.branch_fanout))
+    return 10 * block + BYTES_PER_CHECK * int(limit)
 
-    Stage h (1-based) nodes have prefixes of length level[h]; expanding a
-    stage-h node appends every suffix of length level[h+1]-level[h] and adds
-    the cost of output segment (r_[h], r_[h+1]].
+
+def _pack_rows(bits: np.ndarray) -> list:
+    """Each row of a 0/1 matrix as an int, first column most significant."""
+    packed = np.packbits(bits, axis=1)
+    pad = 8 * packed.shape[1] - bits.shape[1]
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+
+
+def _unpack(prefix: int, depth: int) -> tuple:
+    """A packed prefix of `depth` bits as a tuple of bits."""
+    return tuple(map(int, format(prefix, f"0{depth}b")))
+
+
+def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
+                 lo: int, hi: int, level: int, next_level: int):
+    """What expanding a node at prefix length `level` needs.
+
+    Its children append every suffix of width w = next_level - level and
+    add the cost of output segment (lo, hi].  Returns the segment's outputs
+    for all 2^w suffixes as a (2^w, hi - lo) table, suffix i in row i (its
+    first bit most significant), built by XOR-doubling the suffix columns;
+    the parent columns' rows packed as ints; the segment of y; and its
+    per-symbol costs.
     """
-
-    def __init__(self, g: GeneratorMatrix, cm: CostModel, y: np.ndarray):
-        prof = g.profile
-        r = prof.stage_end_times()
-        levels = (0,) + prof.branch_levels
-        self.levels = levels
-        self.num_stages = prof.num_stages
-        self.k = prof.k
-        self.parent_cols = []
-        self.suffix_outputs = []
-        self.suffixes = []
-        self.weights = []
-        self.y_segments = []
-        for h in range(prof.num_stages):
-            lo, hi = r[h], r[h + 1]
-            seg = slice(lo, hi)
-            width = levels[h + 1] - levels[h]
-            suffixes = np.array(
-                [[(i >> (width - 1 - b)) & 1 for b in range(width)]
-                 for i in range(2 ** width)],
-                dtype=np.uint8,
-            )
-            self.parent_cols.append(g.bits[seg, : levels[h]])
-            self.suffix_outputs.append((suffixes @ g.bits[seg, levels[h]: levels[h + 1]].T) % 2)
-            self.suffixes.append([tuple(int(b) for b in row) for row in suffixes])
-            self.weights.append(np.asarray(cm.per_symbol_cost[seg], dtype=float))
-            self.y_segments.append(np.asarray(y[seg], dtype=np.uint8))
-
-    def expand(self, prefix: tuple, stage: int, cost: float):
-        """Children of a stage-`stage` node as (prefix, cost) pairs."""
-        base = (self.parent_cols[stage] @ np.asarray(prefix, dtype=np.uint8)) % 2
-        xs = self.suffix_outputs[stage] ^ base[None, :]
-        costs = cost + (xs != self.y_segments[stage][None, :]) @ self.weights[stage]
-        return [(prefix + suf, float(c))
-                for suf, c in zip(self.suffixes[stage], costs)]
+    table = np.zeros((1, hi - lo), dtype=np.uint8)
+    for col in g.bits[lo:hi, level:next_level].T[::-1]:
+        table = np.concatenate([table, table ^ col])
+    return (table, _pack_rows(g.bits[lo:hi, :level]), y[lo:hi],
+            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float))
 
 
 def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
                  trace: list | None = None) -> DecodeOutcome:
     """Run the give-up stack decoder on one received word.
 
-    The stack starts with the root's children and the check counter at c_0;
-    while the counter stays within `limit`, the cheapest node is popped,
-    returned if terminal, and otherwise replaced by its children (counting
-    them).  When the loop exits on budget, the give-up marker is returned.
+    The root's children are checked first, setting the counter to c_0;
+    while the counter stays within `limit`, the cheapest checked node is
+    popped, returned if terminal, and otherwise expanded (counting its
+    children).  When the loop exits on budget, the give-up marker is
+    returned.
 
     If a trace list is supplied, one record per pop is appended.
     """
@@ -112,32 +122,53 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
         raise ValueError(
             f"limit {limit} cannot cover the root expansion (c_0 = {c0})")
 
-    tables = _StageTables(g, cm, y)
+    k = prof.k
+    levels = (0,) + prof.branch_levels
+    r = prof.stage_end_times().tolist()
+    fanout = prof.branch_fanout
+    blocks = [None] * prof.num_stages
     heap = []
-    for prefix, cost in tables.expand((), 0, 0.0):
-        heapq.heappush(heap, (cost, -len(prefix), prefix))
-    nodes_checked = c0
-    max_stack = len(heap)
 
-    iteration = 0
+    def expand(prefix: int, stage: int, cost: float) -> None:
+        """Check the children of a stage-`stage` node and push its cursor
+        [costs, order, next position, children's prefix base]."""
+        if blocks[stage] is None:
+            blocks[stage] = _stage_block(g, cm, y, r[stage], r[stage + 1],
+                                         levels[stage], levels[stage + 1])
+        table, parent_rows, y_seg, weights = blocks[stage]
+        parent_out = [(row & prefix).bit_count() & 1 for row in parent_rows]
+        target = y_seg ^ np.array(parent_out, dtype=np.uint8)
+        costs = cost + (table != target) @ weights
+        order = costs.argsort(kind="stable")
+        first = order.item(0)
+        base = prefix << (levels[stage + 1] - levels[stage])
+        heapq.heappush(heap, (costs.item(first), -levels[stage + 1],
+                              base | first, stage + 1, [costs, order, 1, base]))
+
+    expand(0, 0, 0.0)
+    nodes_checked = max_stack = c0
+    pops = 0
     while nodes_checked <= limit:
-        cost, neg_len, prefix = heapq.heappop(heap)
-        stage = tables.levels.index(-neg_len)
-        entry = StackEntry(message_prefix=prefix, stage=stage, cost=cost)
-        iteration += 1
+        cost, neg_depth, prefix, stage, cursor = heapq.heappop(heap)
+        pops += 1
         if trace is not None:
-            trace.append({"iteration": iteration,
-                          "prefix": entry.message_prefix,
-                          "stage": entry.stage, "cost": entry.cost,
+            trace.append({"iteration": pops,
+                          "prefix": _unpack(prefix, -neg_depth),
+                          "stage": stage, "cost": cost,
                           "nodes_checked": nodes_checked})
-        if -neg_len == prof.k:
-            return DecodeOutcome(result=entry.message_prefix,
+        if -neg_depth == k:
+            return DecodeOutcome(result=_unpack(prefix, k),
                                  nodes_checked=nodes_checked,
                                  max_stack_size=max_stack)
-        for child_prefix, child_cost in tables.expand(prefix, stage, cost):
-            heapq.heappush(heap, (child_cost, -len(child_prefix), child_prefix))
-        nodes_checked += prof.branch_fanout[stage]
-        max_stack = max(max_stack, len(heap))
+        costs, order, j, base = cursor
+        if j < len(order):
+            i = order.item(j)
+            cursor[2] = j + 1
+            heapq.heappush(heap, (costs.item(i), neg_depth, base | i, stage,
+                                  cursor))
+        expand(prefix, stage, cost)
+        nodes_checked += fanout[stage]
+        max_stack = max(max_stack, nodes_checked - pops)
 
     return DecodeOutcome(result=None, nodes_checked=nodes_checked,
                          max_stack_size=max_stack)

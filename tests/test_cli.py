@@ -34,6 +34,17 @@ class TestBoundCommand:
                    "--p", "0.05")
         assert code != 0
 
+    @pytest.mark.parametrize("doc,message", [
+        ('{"n": 4, "k": 2}', "lacks the field 's'"),
+        ('{"n": 4, "k": 2, "s": [1, 1, 2', "invalid profile file"),
+        ('{"n": 4, "k": 2, "s": [2, 1, 2, 2]}', "decreasing at t=2"),
+    ], ids=["missing-s", "invalid-json", "decreasing-s"])
+    def test_invalid_profile_file(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "profile.json"
+        path.write_text(doc)
+        assert run(tmp_path, "bound", "--profile", str(path), "--p", "0.05") == 2
+        assert message in capsys.readouterr().err
+
     def test_grid_refinement(self, tmp_path):
         values = {}
         for points in (10, 100):
@@ -111,6 +122,24 @@ class TestSimulateCommand:
         assert code != 0
         assert "GB" in capsys.readouterr().err
 
+    def test_limit_below_root_fanout(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
+                   "--k", "6", "--p", "0.05", "--trials", "10",
+                   "--limit", "63")
+        assert code == 2
+        assert "c_0 = 2^6 = 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,s1", [(32, 28), (128, 24)])
+    def test_wide_root_exceeds_memory(self, tmp_path, capsys, n, s1):
+        # at s(1) = 24 the 2^24 x 128 sibling block, not the node checks,
+        # is what does not fit
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"n": n, "k": s1, "s": [s1] * n}))
+        code = run(tmp_path, "simulate", "--profile", str(path), "--p", "0.05",
+                   "--trials", "1", "--limit", str(2 ** s1))
+        assert code == 2
+        assert "GB" in capsys.readouterr().err
+
     def test_trace_jsonl(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
@@ -150,6 +179,16 @@ class TestTablesCommand:
         assert len(rows) == 4
         for row in rows[1:]:
             assert float(row[7]) == float(row[5]) + float(row[6])
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--profile", "pure", "--n", "8", "--k", "4", "--p", "0.05"],
+    ["sbp", "--n", "8", "--k", "4", "--p", "0.05"],
+    ["tables", "--paper-table", "1"],
+], ids=["bound", "sbp", "tables"])
+def test_single_grid_point_rejected(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--grid-points", "1") == 2
+    assert "--grid-points" in capsys.readouterr().err
 
 
 class TestValidationLeavesNoPartialFiles:

@@ -8,6 +8,7 @@ from cort import (BscChannel, CostModel, GeneratorMatrix, encode,
                   profile_from_s, pure_random_profile, sample_generator,
                   ssdgu_decode, transmit)
 from cort.montecarlo import draw_message
+from eager_decoder import eager_decode
 
 
 def model(p=0.03, gamma=1.0, n=4):
@@ -165,6 +166,36 @@ class TestOutcomeInvariants:
                 for i in range(2 ** width):
                     suffix = tuple((i >> (width - 1 - b)) & 1 for b in range(width))
                     stack.add(node + suffix)
+
+
+class TestMatchesEagerReference:
+    """The sorted-successor decoder returns the outcome and pop trace of the
+    eager decoder that pushes every checked node, costs equal to the bit."""
+
+    # (32, 8) SBP profile for p = 0.05, gamma = 1, L = 4096: fanouts 64, 4
+    SBP_32X8 = profile_from_s(32, 8, [6] * 14 + [8] * 18)
+    STAIRCASE = profile_from_arrivals(32, [1 + (3 * j) // 2 for j in range(16)])
+    WIDE_ROOT = profile_from_arrivals(
+        64, [1] * 12 + [14 + 3 * (j // 2) for j in range(20)])
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    @pytest.mark.parametrize("prof,p,limit,seeds", [
+        (SBP_32X8, 0.1, 160, 400),
+        (STAIRCASE, 0.06, 400, 200),
+        (WIDE_ROOT, 0.05, 5000, 25),
+    ], ids=["sbp-32x8", "staircase", "wide-root"])
+    def test_outcomes_and_traces_identical(self, prof, p, limit, seeds, gamma):
+        cm = model(p=p, gamma=gamma, n=prof.n)
+        giveups = 0
+        for seed in range(seeds):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, limit, trace=expected_trace)
+            assert ssdgu_decode(g, y, cm, limit, trace=trace) == expected
+            assert trace == expected_trace
+            giveups += expected.gave_up
+        assert 0 < giveups < seeds
 
 
 class TestMlConsistency:
