@@ -6,31 +6,27 @@ __version__ = "0.1.0"
 
 from .bounds import (BoundReport, MomentTables, chernoff_grid, d_cfe_g,
                      d_cle_g, d_cle_m_exact, d_e_g, expected_checks_bound,
-                     gallager_reference_bsc, rcu_exact_bsc,
-                     tau_distribution, tau_h_distribution)
+                     gallager_reference_bsc, rcu_exact_bsc, tau_distribution)
 from .channel import BscChannel, error_weight_distribution, transmit
-from .decoder import DecodeOutcome, ml_consistency_check, ssdgu_decode
-from .measure import CostModel, check_aec, extend_cost, prefix_cost
-from .montecarlo import (SimStats, TrialConfig, estimate_cle, ml_oracle,
-                         simulate)
+from .decoder import DecodeOutcome, ssdgu_decode
+from .measure import CostModel, check_aec, prefix_cost
+from .montecarlo import (SimStats, TrialConfig, ml_consistency_check,
+                         ml_oracle, simulate)
 from .sbp import SbpStep, SbpTrace, candidate_sweep, sbp_optimize
-from .tree_code import (GeneratorMatrix, ProfileError, TreeProfile, children,
-                        encode, encode_prefix, load_profile,
-                        profile_from_arrivals, profile_from_json_dict,
-                        profile_from_s, pure_random_profile, sample_generator,
-                        save_profile)
+from .tree_code import (GeneratorMatrix, ProfileError, TreeProfile, encode,
+                        load_profile, profile_from_arrivals,
+                        profile_from_json_dict, profile_from_s,
+                        pure_random_profile, sample_generator, save_profile)
 
 __all__ = [
     "BoundReport", "BscChannel", "CostModel", "DecodeOutcome",
     "GeneratorMatrix", "MomentTables", "ProfileError", "SbpStep", "SbpTrace",
     "SimStats", "TreeProfile", "TrialConfig", "candidate_sweep",
-    "check_aec", "chernoff_grid", "children", "d_cfe_g", "d_cle_g",
-    "d_cle_m_exact", "d_e_g", "encode", "encode_prefix", "error_weight_distribution",
-    "estimate_cle", "expected_checks_bound", "extend_cost",
+    "check_aec", "chernoff_grid", "d_cfe_g", "d_cle_g", "d_cle_m_exact",
+    "d_e_g", "encode", "error_weight_distribution", "expected_checks_bound",
     "gallager_reference_bsc", "load_profile", "ml_consistency_check",
     "ml_oracle", "prefix_cost", "profile_from_arrivals",
     "profile_from_json_dict", "profile_from_s", "pure_random_profile",
     "rcu_exact_bsc", "sample_generator", "save_profile", "sbp_optimize",
-    "simulate", "ssdgu_decode", "tau_distribution", "tau_h_distribution",
-    "transmit",
+    "simulate", "ssdgu_decode", "tau_distribution", "transmit",
 ]

@@ -28,7 +28,6 @@ Reported values are raw (unclipped) sums; presentation layers clip to 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -80,12 +79,16 @@ class MomentTables:
         self.prefix_abar = np.hstack([zeros, np.cumsum(self.log_moment_abar, axis=1)])
         self.prefix_a = np.hstack([zeros, np.cumsum(self.log_moment_a, axis=1)])
 
-    @property
-    def theta_of(self) -> dict:
-        return dict(zip(self.grid.tolist(), self.theta.tolist()))
-
     def matches(self, profile: TreeProfile, cm: CostModel) -> bool:
         return (self.n == profile.n and self.p == cm.p and self.gamma == cm.gamma)
+
+
+def bound_memory_bytes(n: int, stages: int, points: int) -> int:
+    """Estimated peak memory of MomentTables plus one bound evaluation on a
+    grid of `points`: 64 B per grid point and time for the tables, and 56 B
+    per grid point and (h, h') stage pair for the computation-limit terms
+    (both measured peaks)."""
+    return points * (64 * (n + 1) + 56 * stages * stages)
 
 
 def _require_match(tables: MomentTables, profile: TreeProfile, cm: CostModel):
@@ -93,22 +96,6 @@ def _require_match(tables: MomentTables, profile: TreeProfile, cm: CostModel):
         raise ValueError(
             f"moment tables built for (n={tables.n}, p={tables.p}, "
             f"gamma={tables.gamma}) do not match the requested configuration")
-
-
-def tau_h_distribution(profile: TreeProfile, h: int) -> np.ndarray:
-    """Distribution of the last stage (among 1..h) at which a uniformly random
-    competitor prefix still agrees with the transmitted message; index 0 is
-    the no-agreement case.  Valid for 1 <= h <= h_f - 1."""
-    h_f = profile.num_stages
-    if not 1 <= h <= h_f - 1:
-        raise ValueError(f"h must be in 1..{h_f - 1}, got {h}")
-    levels = profile.branch_levels
-    out = np.empty(h + 1)
-    out[0] = 1.0 - 2.0 ** (-levels[0])
-    for j in range(1, h):
-        out[j] = 2.0 ** (-levels[j - 1]) - 2.0 ** (-levels[j])
-    out[h] = 2.0 ** (-levels[h - 1])
-    return out
 
 
 def tau_distribution(profile: TreeProfile) -> np.ndarray:
@@ -122,12 +109,6 @@ def tau_distribution(profile: TreeProfile) -> np.ndarray:
         out[j] = 2.0 ** (-levels[j - 1]) - 2.0 ** (-levels[j])
     out[h_f] = 2.0 ** (-profile.k)
     return out
-
-
-def competitor_weights(profile: TreeProfile) -> np.ndarray:
-    """w_h = 2^k Pr(tau = b_h): expected number of competitors whose last
-    agreement stage is h, for h = 0..h_f."""
-    return 2.0 ** profile.k * tau_distribution(profile)
 
 
 def _tau_matrix(levels_ext, h_f: int) -> np.ndarray:
@@ -249,9 +230,6 @@ class BoundReport:
             "rho_star": self.rho_star,
             "profile": self.profile.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def csv_row(self) -> list:
         return [self.profile.n, self.profile.k, self.p, self.gamma, self.limit,

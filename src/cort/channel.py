@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-CHANNEL_STREAM = 0x4348414E
-_MASK64 = (1 << 64) - 1
+from .streams import CHANNEL_STREAM, stream
 
 
 @dataclass(frozen=True)
@@ -17,7 +16,7 @@ class BscChannel:
     """Memoryless binary symmetric channel with crossover probability p.
 
     Requires 0 < p < 1/2 so the per-symbol log-likelihood scale
-    log2((1-p)/p) is finite and positive.
+    log2((1-p)/p) is positive, and p large enough for it to be finite.
     """
 
     p: float
@@ -26,18 +25,11 @@ class BscChannel:
     def __post_init__(self):
         if not 0.0 < self.p < 0.5:
             raise ValueError(f"crossover probability must be in (0, 0.5), got {self.p}")
-        object.__setattr__(self, "llr_scale", math.log2((1.0 - self.p) / self.p))
-
-    def likelihood(self, x_bit: int, y_bit: int) -> float:
-        """Per-symbol output likelihood P(y | x)."""
-        return self.p if x_bit != y_bit else 1.0 - self.p
-
-    def sequence_likelihood(self, x, y) -> float:
-        """Joint likelihood of an output sequence; factorizes by memorylessness."""
-        x = np.asarray(x, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.uint8)
-        mism = int(np.count_nonzero(x != y))
-        return self.p ** mism * (1.0 - self.p) ** (len(x) - mism)
+        llr_scale = math.log2((1.0 - self.p) / self.p)
+        if llr_scale == math.inf:
+            raise ValueError(f"crossover probability {self.p} is too small for "
+                             "a finite log-likelihood ratio")
+        object.__setattr__(self, "llr_scale", llr_scale)
 
 
 def transmit(ch: BscChannel, x, seed: int) -> np.ndarray:
@@ -48,9 +40,7 @@ def transmit(ch: BscChannel, x, seed: int) -> np.ndarray:
     for the same integer seed.
     """
     x = np.asarray(x, dtype=np.uint8)
-    key = np.array([seed & _MASK64, CHANNEL_STREAM], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    errors = (rng.random(len(x)) < ch.p).astype(np.uint8)
+    errors = (stream(seed, CHANNEL_STREAM).random(len(x)) < ch.p).astype(np.uint8)
     return x ^ errors
 
 

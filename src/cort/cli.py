@@ -11,22 +11,27 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 
 from . import __version__
-from .bounds import (CSV_HEADER, MomentTables, chernoff_grid, d_e_g,
-                     gallager_reference_bsc, rcu_exact_bsc)
+from .bounds import (CSV_HEADER, MomentTables, bound_memory_bytes,
+                     chernoff_grid, d_e_g, gallager_reference_bsc,
+                     rcu_exact_bsc)
 from .channel import BscChannel
-from .decoder import BYTES_PER_CHECK, decode_memory_bytes
+from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
 from .measure import CostModel
-from .montecarlo import TrialConfig, simulate
+from .montecarlo import TrialConfig, simulate, trial_instances, trial_spans
 from .sbp import sbp_optimize
-from .tree_code import load_profile, pure_random_profile, save_profile
+from .tree_code import (ProfileError, load_profile, pure_random_profile,
+                        save_profile)
 
 RESULTS_ENV = "CORT_RESULTS_DIR"
+# Largest estimated peak memory, in bytes, that a command may go on to use.
+MEMORY_CEILING = 4e9
 
 # Published reference evaluations for the four standard (p, gamma)
 # benchmark configurations at n=128, k=64; columns are L = 1e9, 1e10, 1e11.
@@ -91,7 +96,10 @@ def _resolve_profile(args):
     if args.profile == "pure":
         if args.n is None or args.k is None:
             raise CliError("--profile pure requires --n and --k")
-        return pure_random_profile(args.n, args.k)
+        try:
+            return pure_random_profile(args.n, args.k)
+        except ProfileError as exc:
+            raise CliError(f"--profile pure: {exc}") from exc
     try:
         prof = load_profile(args.profile)
     except OSError as exc:
@@ -107,26 +115,37 @@ def _resolve_profile(args):
     return prof
 
 
-def _validate_grid_points(args):
+def _validate_grid_points(args, n: int, stages: int):
     if args.grid_points < 2:
         raise CliError(f"--grid-points must be at least 2, got {args.grid_points}")
+    est = bound_memory_bytes(n, stages, args.grid_points)
+    if est > MEMORY_CEILING:
+        raise CliError(
+            f"--grid-points {args.grid_points} could need about {est / 1e9:.1f} "
+            f"GB of moment tables and bound terms at n = {n}; use fewer points")
+
+
+def _validate_limit(args):
+    if not 1 <= args.limit < math.inf:
+        raise CliError(f"--limit must be finite and at least 1, got {args.limit}")
 
 
 def _validate_channel(args):
     if args.p is None:
         raise CliError("--p is required")
-    if not 0.0 < args.p < 0.5:
-        raise CliError(f"--p must be in (0, 0.5), got {args.p}")
+    try:
+        BscChannel(args.p)
+    except ValueError as exc:
+        raise CliError(f"--p: {exc}") from exc
     if not 0.0 < args.gamma <= 1.0:
         raise CliError(f"--gamma must be in (0, 1], got {args.gamma}")
 
 
 def cmd_bound(args) -> int:
     _validate_channel(args)
-    _validate_grid_points(args)
     prof = _resolve_profile(args)
-    if args.limit < 1:
-        raise CliError("--limit must be at least 1")
+    _validate_grid_points(args, prof.n, prof.num_stages)
+    _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
     tables = MomentTables(prof.n, args.p, args.gamma,
                           chernoff_grid(args.grid_points))
@@ -153,11 +172,10 @@ def cmd_bound(args) -> int:
 
 def cmd_sbp(args) -> int:
     _validate_channel(args)
-    _validate_grid_points(args)
-    if args.n is None or args.k is None:
-        raise CliError("--n and --k are required")
-    if args.limit < 1:
-        raise CliError("--limit must be at least 1")
+    if args.n < 1 or args.k < 1:
+        raise CliError(f"--n and --k must be at least 1, got {args.n}, {args.k}")
+    _validate_grid_points(args, args.n, min(args.n, args.k))
+    _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=args.n)
     tables = MomentTables(args.n, args.p, args.gamma,
                           chernoff_grid(args.grid_points))
@@ -179,18 +197,9 @@ def cmd_sbp(args) -> int:
 def _write_first_trial_trace(config: TrialConfig, path: str) -> None:
     """Debug aid: decode trial 0 again with tracing and dump JSON lines of
     (iteration, popped prefix, stage, cost, node checks)."""
-    from .channel import transmit
-    from .decoder import ssdgu_decode
-    from .montecarlo import draw_message
-    from .tree_code import encode, sample_generator
-
-    cm = config.cost_model()
-    seed = config.base_seed
-    m = draw_message(config.profile.k, seed)
-    g = sample_generator(config.profile, seed)
-    y = transmit(cm.channel, encode(g, m), seed)
+    _, g, y = next(trial_instances(config, 0, 1))
     trace = []
-    ssdgu_decode(g, y, cm, config.limit, trace=trace)
+    ssdgu_decode(g, y, config.cost_model(), config.limit, trace=trace)
     with open(path, "w") as fh:
         for record in trace:
             record = dict(record, prefix=list(record["prefix"]))
@@ -208,12 +217,14 @@ def cmd_simulate(args) -> int:
         raise CliError(
             f"--limit {args.limit} is below the root fanout c_0 = 2^{prof.s[0]} "
             f"= {c0}; the decoder checks every root child first")
-    est = decode_memory_bytes(prof, args.limit)
-    if est > 4e9:
+    decodes = len(trial_spans(args.trials, args.threads))
+    est = decodes * decode_memory_bytes(prof, args.limit)
+    if est > MEMORY_CEILING:
         raise CliError(
-            f"one decode could need about {est / 1e9:.1f} GB (the largest "
-            f"stage's sibling block plus {BYTES_PER_CHECK} bytes per node "
-            f"check); reduce --limit or the bits per stage")
+            f"{decodes} decode(s) at once (--threads {args.threads}) could "
+            f"need about {est / 1e9:.1f} GB (each holds the largest stage's "
+            f"sibling block plus {BYTES_PER_CHECK} bytes per node check); "
+            f"reduce --limit, --threads or the bits per stage")
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,
@@ -272,7 +283,7 @@ def table_rows(table: int, grid_points: int = 10):
 
 
 def cmd_tables(args) -> int:
-    _validate_grid_points(args)
+    _validate_grid_points(args, REFERENCE_N, REFERENCE_K)
     tables_to_run = [args.paper_table] if args.paper_table else [1, 2, 3, 4]
     header = CSV_HEADER + ["printed_d_cle_g", "printed_d_cfe_g",
                            "printed_d_e_g", "printed_additive_consistent"]

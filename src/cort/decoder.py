@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import CostModel, prefix_cost
-from .tree_code import GeneratorMatrix, TreeProfile, encode
+from .measure import CostModel
+from .tree_code import GeneratorMatrix, TreeProfile
 
 # Peak memory a decode holds per checked node, measured as peak RSS growth
 # over 4e5 checks on a fanout-2 staircase that gives up (about 220 B).
@@ -173,15 +173,3 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     return DecodeOutcome(result=None, nodes_checked=nodes_checked,
                          max_stack_size=max_stack)
 
-
-def ml_consistency_check(g: GeneratorMatrix, y, cm: CostModel,
-                         outcome: DecodeOutcome) -> bool:
-    """True iff the decoded message attains the brute-force minimum full-path
-    cost over all 2^k messages.  Feasible for k <= 20."""
-    from .montecarlo import ml_oracle  # local import to avoid a cycle
-
-    if outcome.result is None:
-        raise ValueError("outcome is a give-up; nothing to check")
-    _, best_cost = ml_oracle(g, y, cm)
-    decoded_cost = prefix_cost(cm, encode(g, outcome.result), y)
-    return bool(np.isclose(decoded_cost, best_cost, rtol=1e-9, atol=1e-12))

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import BscChannel
-
-_MASK64 = (1 << 64) - 1
-AEC_CHECK_STREAM = 0x414543
+from .streams import AEC_CHECK_STREAM, stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,23 +55,6 @@ def prefix_cost(cm: CostModel, x_prefix, y) -> float:
     return float(cm.per_symbol_cost[:t] @ (x != y[:t]))
 
 
-def extend_cost(cm: CostModel, base_cost: float, x_segment, y_segment,
-                t_start: int) -> float:
-    """Incrementally add the cost of symbols t_start..t_start+len-1 (1-based).
-
-    extend_cost(cm, prefix_cost(x[:t], y), x[t:t'], y[t:t'], t+1) equals
-    prefix_cost(x[:t'], y).
-    """
-    x = np.asarray(x_segment, dtype=np.uint8)
-    yseg = np.asarray(y_segment, dtype=np.uint8)
-    if len(x) != len(yseg):
-        raise ValueError("segment lengths differ")
-    if t_start < 1:
-        raise ValueError("t_start must be at least 1")
-    t0 = t_start - 1
-    return float(base_cost + cm.per_symbol_cost[t0:t0 + len(x)] @ (x != yseg))
-
-
 def check_aec(cm, trials: int, n: int, seed: int) -> bool:
     """Verify on random (x, y) pairs that prefix costs never decrease in t.
 
@@ -83,8 +64,7 @@ def check_aec(cm, trials: int, n: int, seed: int) -> bool:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     w = np.asarray(cm.per_symbol_cost[:n], dtype=float)
-    key = np.array([seed & _MASK64, AEC_CHECK_STREAM], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = stream(seed, AEC_CHECK_STREAM)
     for _ in range(trials):
         x = rng.integers(0, 2, n, dtype=np.uint8)
         y = rng.integers(0, 2, n, dtype=np.uint8)

@@ -3,8 +3,8 @@
 Trials are seeded as base_seed + trial_index, so any contiguous chunk of
 trials can run on any worker and the merged counters are identical to a
 serial run.  Each trial draws its message, generator matrix (when
-resampling), and channel noise from Philox streams with distinct key
-domains derived from the trial seed.
+resampling), and channel noise from the trial seed's streams
+(`cort.streams`); `trial_instances` is the one place that does so.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BscChannel, transmit
-from .decoder import ssdgu_decode
+from .decoder import DecodeOutcome, ssdgu_decode
 from .measure import CostModel, prefix_cost
+from .streams import MESSAGE_STREAM, stream
 from .tree_code import GeneratorMatrix, TreeProfile, encode, sample_generator
-
-MESSAGE_STREAM = 0x4D5347
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -98,27 +96,45 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
 
 def draw_message(k: int, seed: int) -> np.ndarray:
     """Uniform k-bit message from the trial's message stream."""
-    key = np.array([seed & _MASK64, MESSAGE_STREAM], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.integers(0, 2, k, dtype=np.uint8)
+    return stream(seed, MESSAGE_STREAM).integers(0, 2, k, dtype=np.uint8)
+
+
+def trial_instances(config: TrialConfig, start: int, stop: int):
+    """Yield (message, generator, received word) for trials start..stop-1.
+
+    Trial i is seeded by base_seed + i.  With resample_code off, every trial
+    uses the one generator drawn from base_seed.
+    """
+    channel = BscChannel(config.p)
+    fixed_g = None
+    if not config.resample_code:
+        fixed_g = sample_generator(config.profile, config.base_seed)
+    for i in range(start, stop):
+        seed = config.base_seed + i
+        m = draw_message(config.profile.k, seed)
+        g = fixed_g if fixed_g is not None else sample_generator(config.profile, seed)
+        yield m, g, transmit(channel, encode(g, m), seed)
+
+
+def trial_spans(trials: int, workers: int) -> list:
+    """The (start, stop) trial ranges `simulate` runs, one per worker
+    process, so their count is the number of decodes running at once.
+    There is a single range when trials < 64 or workers <= 1."""
+    if workers <= 1 or trials < 64:
+        return [(0, trials)]
+    chunk = -(-trials // workers)
+    return [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
 
 
 def _run_chunk(config: TrialConfig, start: int, stop: int):
     """Exact integer tallies for trials start..stop-1."""
     cm = config.cost_model()
-    fixed_g = None
-    if not config.resample_code:
-        fixed_g = sample_generator(config.profile, config.base_seed)
     giveups = wrong = 0
     nc_sum = 0
     nc_sq_sum = 0
     nc_max = 0
     stack_max = 0
-    for i in range(start, stop):
-        seed = (config.base_seed + i) & _MASK64
-        m = draw_message(config.profile.k, seed)
-        g = fixed_g if fixed_g is not None else sample_generator(config.profile, seed)
-        y = transmit(cm.channel, encode(g, m), seed)
+    for m, g, y in trial_instances(config, start, stop):
         outcome = ssdgu_decode(g, y, cm, config.limit)
         if outcome.gave_up:
             giveups += 1
@@ -136,12 +152,11 @@ def simulate(config: TrialConfig, workers: int = 1) -> SimStats:
     """Run the campaign and reduce exact counters; deterministic for any
     worker count."""
     trials = config.trials
-    if workers <= 1 or trials < 64:
+    spans = trial_spans(trials, workers)
+    if len(spans) == 1:
         parts = [_run_chunk(config, 0, trials)]
     else:
-        chunk = -(-trials // workers)
-        spans = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             parts = list(pool.map(_run_chunk, [config] * len(spans),
                                   [a for a, _ in spans], [b for _, b in spans]))
     giveups = sum(p[0] for p in parts)
@@ -200,41 +215,12 @@ def ml_oracle(g: GeneratorMatrix, y, cm: CostModel):
     return message, best_cost
 
 
-def hamming_argmin(g: GeneratorMatrix, y):
-    """Independent maximum-likelihood reference: message whose codeword is
-    Hamming-closest to y (ties to the lexicographically smallest)."""
-    k = g.profile.k
-    if k > 20:
-        raise ValueError(f"brute force limited to k <= 20, got k={k}")
-    y = np.asarray(y, dtype=np.uint8)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
-    idx = np.arange(1 << k, dtype=np.uint32)
-    msgs = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    dist = ((msgs @ g.bits.T) % 2 != y[None, :]).sum(axis=1)
-    best = int(np.argmin(dist))
-    return tuple((best >> int(s)) & 1 for s in shifts)
-
-
-def estimate_cle(config: TrialConfig, workers: int = 1):
-    """Monte Carlo estimate of the give-up probability: (rate, 95% ci)."""
-    stats = simulate(config, workers=workers)
-    return stats.giveup_rate, stats.giveup_ci
-
-
-def non_giveup_costs_match_oracle(config: TrialConfig) -> bool:
-    """Every non-give-up decode attains the brute-force minimum cost."""
-    cm = config.cost_model()
-    for i in range(config.trials):
-        seed = (config.base_seed + i) & _MASK64
-        m = draw_message(config.profile.k, seed)
-        g = sample_generator(config.profile, seed) if config.resample_code \
-            else sample_generator(config.profile, config.base_seed)
-        y = transmit(cm.channel, encode(g, m), seed)
-        outcome = ssdgu_decode(g, y, cm, config.limit)
-        if outcome.gave_up:
-            continue
-        _, best_cost = ml_oracle(g, y, cm)
-        decoded_cost = prefix_cost(cm, encode(g, outcome.result), y)
-        if not math.isclose(decoded_cost, best_cost, rel_tol=1e-9, abs_tol=1e-12):
-            return False
-    return True
+def ml_consistency_check(g: GeneratorMatrix, y, cm: CostModel,
+                         outcome: DecodeOutcome) -> bool:
+    """True iff the decoded message attains the `ml_oracle` minimum
+    full-path cost over all 2^k messages.  Feasible for k <= 20."""
+    if outcome.gave_up:
+        raise ValueError("outcome is a give-up; nothing to check")
+    _, best_cost = ml_oracle(g, y, cm)
+    decoded_cost = prefix_cost(cm, encode(g, outcome.result), y)
+    return math.isclose(decoded_cost, best_cost, rel_tol=1e-9, abs_tol=1e-12)

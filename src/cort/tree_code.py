@@ -11,16 +11,12 @@ interchange format; message bits are 0-based in code.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Distinct Philox key domains so a single integer seed can drive independent
-# streams for matrix sampling and channel noise without correlation.
-GENERATOR_STREAM = 0x47454E
-_MASK64 = (1 << 64) - 1
+from .streams import GENERATOR_STREAM, stream
 
 
 class ProfileError(ValueError):
@@ -62,16 +58,6 @@ class TreeProfile:
         bt = np.asarray(self.branch_times, dtype=np.int64)
         return np.concatenate([[0], bt[1:] - 1, [self.n]])
 
-    def stage_of_level(self, level: int) -> int:
-        """Branching stage h with s(b_h) == level (level 0 is the root)."""
-        if level == 0:
-            return 0
-        levels = self.branch_levels
-        try:
-            return levels.index(level) + 1
-        except ValueError:
-            raise ProfileError(f"{level} is not a branching-stage level") from None
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -79,9 +65,6 @@ class TreeProfile:
             "s": list(self.s),
             "arrivals": list(self.arrivals),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def profile_from_s(n: int, k: int, s) -> TreeProfile:
@@ -193,41 +176,18 @@ class GeneratorMatrix:
 
 def sample_generator(profile: TreeProfile, seed: int) -> GeneratorMatrix:
     """Draw one generator matrix from the ensemble, deterministically."""
-    key = np.array([seed & _MASK64, GENERATOR_STREAM], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    bits = rng.integers(0, 2, size=(profile.n, profile.k), dtype=np.uint8)
+    bits = stream(seed, GENERATOR_STREAM).integers(
+        0, 2, size=(profile.n, profile.k), dtype=np.uint8)
     rows = np.arange(1, profile.n + 1)[:, None]
     bits *= (rows >= np.asarray(profile.arrivals)[None, :]).astype(np.uint8)
     bits.setflags(write=False)
     return GeneratorMatrix(profile=profile, bits=bits, seed=seed)
 
 
-def encode_prefix(g: GeneratorMatrix, message_prefix, t: int) -> np.ndarray:
-    """First t coded bits of the message over GF(2).
-
-    Only the first s(t) message bits are read; the prefix must supply at
-    least that many.
-    """
-    if not 1 <= t <= g.profile.n:
-        raise ValueError(f"t={t} outside 1..{g.profile.n}")
-    st = g.profile.s[t - 1]
-    m = np.asarray(message_prefix, dtype=np.uint8)
-    if len(m) < st:
-        raise ValueError(f"message prefix has {len(m)} bits, s({t})={st} required")
-    return (g.bits[:t, :st] @ m[:st]) % 2
-
-
 def encode(g: GeneratorMatrix, message) -> np.ndarray:
-    """Full codeword G m over GF(2)."""
-    return encode_prefix(g, message, g.profile.n)
-
-
-def children(profile: TreeProfile, node_level: int):
-    """Bit suffixes extending a node at the given prefix length to the next
-    branching stage.  Level 0 is the root; terminal nodes (level k) have no
-    children."""
-    h = profile.stage_of_level(node_level)
-    if h >= profile.num_stages:
-        raise ProfileError(f"nodes at level {node_level} are terminal")
-    next_level = profile.branch_levels[h]  # level of stage h+1 (0-based tuple)
-    return tuple(itertools.product((0, 1), repeat=next_level - node_level))
+    """Codeword G m over GF(2).  By the staircase support, its first t bits
+    depend only on the first s(t) message bits."""
+    m = np.asarray(message, dtype=np.uint8)
+    if len(m) != g.profile.k:
+        raise ValueError(f"message has {len(m)} bits, expected k={g.profile.k}")
+    return (g.bits @ m) % 2

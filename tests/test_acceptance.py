@@ -12,11 +12,12 @@ import pytest
 from cort import (BscChannel, CostModel, MomentTables, TrialConfig,
                   chernoff_grid, d_cfe_g, d_cle_g, d_cle_m_exact, d_e_g,
                   expected_checks_bound, gallager_reference_bsc,
-                  profile_from_arrivals, profile_from_s, pure_random_profile,
-                  rcu_exact_bsc, sbp_optimize, simulate)
+                  ml_consistency_check, profile_from_arrivals,
+                  profile_from_s, pure_random_profile, rcu_exact_bsc,
+                  sbp_optimize, simulate, ssdgu_decode)
 from cort.cli import REFERENCE_LIMITS, REFERENCE_TABLES, table_rows
 from cort.measure import check_aec
-from cort.montecarlo import non_giveup_costs_match_oracle
+from cort.montecarlo import trial_instances
 from cort.sbp import candidate_sweep
 
 
@@ -134,7 +135,11 @@ def test_criterion_6_ml_consistency():
     for gamma in (1.0, 0.9992):
         cfg = TrialConfig(profile=prof, p=0.05, gamma=gamma, limit=1024,
                           trials=1000, base_seed=314, resample_code=True)
-        ok &= non_giveup_costs_match_oracle(cfg)
+        cm = cfg.cost_model()
+        for _, g, y in trial_instances(cfg, 0, cfg.trials):
+            outcome = ssdgu_decode(g, y, cm, cfg.limit)
+            if not outcome.gave_up:
+                ok &= ml_consistency_check(g, y, cm, outcome)
     assert report(6, ok, "(16,8), 1000 trials, gamma in {1, 0.9992}")
 
 

@@ -8,9 +8,7 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   chernoff_grid, d_cfe_g, d_cle_g, d_cle_m_exact, d_e_g,
                   expected_checks_bound, gallager_reference_bsc,
                   profile_from_arrivals, profile_from_s, pure_random_profile,
-                  rcu_exact_bsc, sbp_optimize, tau_distribution,
-                  tau_h_distribution)
-from cort.bounds import competitor_weights
+                  rcu_exact_bsc, sbp_optimize, tau_distribution)
 
 
 def model(p, gamma, n):
@@ -49,9 +47,11 @@ class TestMomentTables:
             assert math.isclose(direct, via_prefix, rel_tol=1e-10)
 
     def test_theta_of(self):
+        # theta[i] is the Chernoff parameter of grid[i]
         tabs = MomentTables(4, 0.1, 1.0)
-        assert math.isclose(tabs.theta_of[1.0], 0.5, rel_tol=1e-15)
-        assert math.isclose(tabs.theta_of[0.0], 1.0, rel_tol=1e-15)
+        assert tabs.grid[0] == 0.0 and tabs.grid[-1] == 1.0
+        assert math.isclose(tabs.theta[-1], 0.5, rel_tol=1e-15)
+        assert math.isclose(tabs.theta[0], 1.0, rel_tol=1e-15)
 
     def test_configuration_mismatch_rejected(self):
         tabs = MomentTables(8, 0.1, 1.0)
@@ -63,21 +63,12 @@ class TestMomentTables:
 class TestTauDistributions:
     def test_two_stage_profile(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        assert np.allclose(tau_h_distribution(prof, 1), [0.5, 0.5])
         assert np.allclose(tau_distribution(prof), [0.5, 0.25, 0.25])
 
     def test_pure_random(self):
         prof = pure_random_profile(8, 4)
         dist = tau_distribution(prof)
         assert np.allclose(dist, [1 - 2.0 ** -4, 2.0 ** -4])
-        assert math.isclose(competitor_weights(prof)[0], 2 ** 4 - 1)
-
-    def test_h_out_of_range(self):
-        prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        with pytest.raises(ValueError):
-            tau_h_distribution(prof, 2)
-        with pytest.raises(ValueError):
-            tau_h_distribution(prof, 0)
 
     def test_random_profiles_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -86,9 +77,6 @@ class TestTauDistributions:
             k = int(rng.integers(1, n + 1))
             prof = random_profile(rng, n, k)
             assert math.isclose(tau_distribution(prof).sum(), 1.0, abs_tol=1e-12)
-            for h in range(1, prof.num_stages):
-                assert math.isclose(tau_h_distribution(prof, h).sum(), 1.0,
-                                    abs_tol=1e-12)
 
 
 class TestCleBound:

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
-import os
+import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cort.cli import main
 from cort.tree_code import load_profile
@@ -45,6 +50,16 @@ class TestBoundCommand:
         assert run(tmp_path, "bound", "--profile", str(path), "--p", "0.05") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "4", "--k", "2", "--limit", "nan"], "--limit"),
+        (["--n", "4", "--k", "0"], "k >= 1"),
+    ], ids=["nan-limit", "zero-k"])
+    def test_invalid_sizes_and_limit(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "bound", "--profile", "pure", "--p", "0.1",
+                   *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_grid_refinement(self, tmp_path):
         values = {}
         for points in (10, 100):
@@ -77,6 +92,15 @@ class TestSbpCommand:
         assert prof.n == 12 and prof.k == 4
         trace = json.loads(trace_path.read_text())
         assert len(trace["steps"]) == 3
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "4", "--k", "2", "--limit", "nan"], "--limit"),
+        (["--n", "0", "--k", "0"], "--n and --k"),
+    ], ids=["nan-limit", "zero-sizes"])
+    def test_invalid_sizes_and_limit(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "sbp", "--p", "0.1", *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_huge_budget_concentrates(self, tmp_path):
         prof_path = tmp_path / "profile.json"
@@ -121,6 +145,20 @@ class TestSimulateCommand:
                    "--limit", "1000000000")
         assert code != 0
         assert "GB" in capsys.readouterr().err
+
+    def test_zero_k_usage_error(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "--profile", "pure", "--n", "4",
+                   "--k", "0", "--p", "0.05", "--trials", "1")
+        assert code == 2
+        assert "k >= 1" in capsys.readouterr().err
+
+    def test_memory_guard_counts_workers(self, tmp_path, capsys):
+        # about 1.5 GB per decode: one fits under the ceiling, four do not
+        argv = ["simulate", "--profile", "pure", "--n", "8", "--k", "3",
+                "--p", "0.05", "--trials", "64", "--limit", "6700000"]
+        assert run(tmp_path, *argv, "--threads", "4") == 2
+        assert "--threads 4" in capsys.readouterr().err
+        assert run(tmp_path, *argv, "--threads", "1") == 0
 
     def test_limit_below_root_fanout(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
@@ -181,14 +219,23 @@ class TestTablesCommand:
             assert float(row[7]) == float(row[5]) + float(row[6])
 
 
-@pytest.mark.parametrize("argv", [
+GRID_COMMANDS = pytest.mark.parametrize("argv", [
     ["bound", "--profile", "pure", "--n", "8", "--k", "4", "--p", "0.05"],
     ["sbp", "--n", "8", "--k", "4", "--p", "0.05"],
     ["tables", "--paper-table", "1"],
 ], ids=["bound", "sbp", "tables"])
+
+
+@GRID_COMMANDS
 def test_single_grid_point_rejected(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--grid-points", "1") == 2
     assert "--grid-points" in capsys.readouterr().err
+
+
+@GRID_COMMANDS
+def test_grid_beyond_memory_rejected(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--grid-points", "100000000") == 2
+    assert "GB" in capsys.readouterr().err
 
 
 class TestValidationLeavesNoPartialFiles:
@@ -199,3 +246,93 @@ class TestValidationLeavesNoPartialFiles:
         assert code != 0
         assert not out.exists()
         assert not (tmp_path / "results").exists()
+
+
+# Trial 0's exact pop trace and the exact statistics of a fixed-code campaign
+# on fixed seeds.  The payload equals PINNED_STATS[1] of test_montecarlo.py.
+PINNED_TRACE = """\
+{"iteration": 1, "prefix": [0], "stage": 1, "cost": 0.0, "nodes_checked": 2}
+{"iteration": 2, "prefix": [0, 0], "stage": 2, "cost": 0.0, "nodes_checked": 4}
+{"iteration": 3, "prefix": [0, 0, 0], "stage": 3, "cost": 0.0, "nodes_checked": 6}
+{"iteration": 4, "prefix": [0, 1], "stage": 2, "cost": 0.0, "nodes_checked": 8}
+{"iteration": 5, "prefix": [1], "stage": 1, "cost": 0.0, "nodes_checked": 10}
+{"iteration": 6, "prefix": [0, 0, 0, 1], "stage": 4, "cost": 3.169925001442312, "nodes_checked": 12}
+{"iteration": 7, "prefix": [0, 1, 0], "stage": 3, "cost": 3.169925001442312, "nodes_checked": 14}
+{"iteration": 8, "prefix": [0, 1, 0, 0], "stage": 4, "cost": 3.169925001442312, "nodes_checked": 16}
+{"iteration": 9, "prefix": [0, 1, 1], "stage": 3, "cost": 3.169925001442312, "nodes_checked": 18}
+{"iteration": 10, "prefix": [1, 0], "stage": 2, "cost": 3.169925001442312, "nodes_checked": 20}
+{"iteration": 11, "prefix": [1, 1], "stage": 2, "cost": 3.169925001442312, "nodes_checked": 22}
+{"iteration": 12, "prefix": [1, 1, 0], "stage": 3, "cost": 3.169925001442312, "nodes_checked": 24}
+"""
+PINNED_PAYLOAD = {
+    "trials": 200, "giveup_count": 80, "undetected_count": 1, "fer": 0.405,
+    "giveup_rate": 0.4, "undetected_error_rate": 0.005,
+    "fer_ci": 0.06741259370286175, "giveup_ci": 0.06727874749074705,
+    "undetected_ci": 0.013445267995291277, "mean_nodes_checked": 19.88,
+    "mean_nodes_ci": 0.7414987031425843, "max_nodes_checked": 26,
+    "max_stack_size": 14}
+
+
+def test_pinned_trace_and_payload(tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(
+        {"n": 16, "k": 6, "s": [1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6]}))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "stats.json"
+    assert run(tmp_path, "simulate", "--profile", str(path), "--p", "0.1",
+               "--limit", "24", "--trials", "200", "--seed", "4",
+               "--threads", "1", "--trace-jsonl", str(trace),
+               "--out", str(out)) == 0
+    assert trace.read_text() == PINNED_TRACE
+    assert json.loads(out.read_text()) == PINNED_PAYLOAD
+
+
+ODD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+
+
+def odd_or(strategy):
+    return st.one_of(st.sampled_from(ODD_FLOATS), strategy)
+
+
+def all_finite(doc):
+    if isinstance(doc, dict):
+        return all(all_finite(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(all_finite(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["bound", "sbp", "simulate"]), data=st.data())
+def test_fuzz_main_exits_cleanly(command, data):
+    # every input reaches the user as exit 0 or a usage error (exit 2),
+    # and whatever is written holds finite numbers only
+    n = data.draw(st.integers(-1, 12), label="n")
+    k = data.draw(st.integers(-1, n), label="k")
+    p = data.draw(odd_or(st.floats(-0.1, 0.6)), label="p")
+    gamma = data.draw(odd_or(st.floats(-0.5, 1.5)), label="gamma")
+    limit = data.draw(odd_or(st.one_of(st.floats(-10.0, 1e7),
+                                       st.integers(-10, 10 ** 6))), label="limit")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/out.json"
+        argv = ["--results-dir", f"{tmp}/results", command]
+        if command != "sbp":
+            argv += ["--profile", "pure"]
+        argv += [f"--n={n}", f"--k={k}", f"--p={p}", f"--gamma={gamma}",
+                 f"--limit={limit}"]
+        if command == "simulate":
+            trials = data.draw(st.integers(-1, 4), label="trials")
+            argv += [f"--trials={trials}", "--threads=1", f"--out={out}"]
+        else:
+            grid = data.draw(st.integers(-2, 64), label="grid_points")
+            argv += [f"--grid-points={grid}",
+                     f"--out-trace={out}" if command == "sbp" else f"--out={out}"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2)
+        with contextlib.suppress(FileNotFoundError), open(out) as fh:
+            assert all_finite(json.load(fh))
+

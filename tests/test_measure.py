@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cort import (BscChannel, CostModel, check_aec, extend_cost, prefix_cost,
+from cort import (BscChannel, CostModel, check_aec, prefix_cost,
                   pure_random_profile, sample_generator, encode, ml_oracle)
 
 
@@ -55,34 +55,6 @@ class TestPrefixCost:
             prefix_cost(model(), [1, 0, 1], [1, 0])
 
 
-class TestExtendCost:
-    def test_empty_segment_identity(self):
-        cm = model()
-        assert extend_cost(cm, 1.25, [], [], 3) == 1.25
-
-    def test_two_mismatch_segment(self):
-        cm = model(p=0.03, gamma=1.0)
-        cost = extend_cost(cm, 0.0, [1, 1], [0, 0], 1)
-        assert math.isclose(cost, 2 * cm.channel.llr_scale, rel_tol=1e-12)
-
-    def test_consistency_with_prefix_cost(self):
-        rng = np.random.default_rng(17)
-        cm = model(p=0.07, gamma=0.97, n=64)
-        for _ in range(1000):
-            n = int(rng.integers(2, 64))
-            split = int(rng.integers(1, n))
-            x = rng.integers(0, 2, n)
-            y = rng.integers(0, 2, n)
-            base = prefix_cost(cm, x[:split], y)
-            total = extend_cost(cm, base, x[split:], y[split:n], split + 1)
-            assert math.isclose(total, prefix_cost(cm, x, y),
-                                rel_tol=1e-10, abs_tol=1e-10)
-
-    def test_segment_length_mismatch(self):
-        with pytest.raises(ValueError):
-            extend_cost(model(), 0.0, [1, 0], [1], 1)
-
-
 class TestAccumulatingProperty:
     @pytest.mark.parametrize("gamma", [0.5, 0.9992, 1.0])
     @pytest.mark.parametrize("p", [0.02, 0.1])
@@ -128,7 +100,8 @@ class TestOrderingProperties:
             m = [(idx >> (3 - b)) & 1 for b in range(4)]
             x = encode(g, m)
             costs.append(prefix_cost(cm, x, y))
-            likes.append(cm.channel.sequence_likelihood(x, y))
+            flips = int(np.count_nonzero(x != y))
+            likes.append(0.1 ** flips * 0.9 ** (10 - flips))
         assert np.argmin(costs) == np.argmax(likes)
 
     def test_scale_covariance(self):

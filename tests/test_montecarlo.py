@@ -4,14 +4,27 @@ import numpy as np
 import pytest
 
 from cort import (BscChannel, CostModel, GeneratorMatrix, MomentTables,
-                  TrialConfig, d_cle_g, encode, estimate_cle, ml_oracle,
+                  TrialConfig, d_cle_g, encode, ml_oracle,
                   profile_from_arrivals, pure_random_profile,
                   sample_generator, sbp_optimize, simulate)
-from cort.montecarlo import hamming_argmin, wilson_halfwidth
+from cort.montecarlo import wilson_halfwidth
 
 
 def model(p, gamma, n):
     return CostModel(channel=BscChannel(p), gamma=gamma, n=n)
+
+
+def hamming_argmin(g: GeneratorMatrix, y):
+    """Test-only maximum-likelihood reference, independent of ml_oracle:
+    the message whose codeword is Hamming-closest to y (ties to the
+    lexicographically smallest)."""
+    k = g.profile.k
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
+    idx = np.arange(1 << k, dtype=np.uint32)
+    msgs = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    dist = ((msgs @ g.bits.T) % 2 != np.asarray(y, np.uint8)[None, :]).sum(axis=1)
+    best = int(np.argmin(dist))
+    return tuple((best >> int(s)) & 1 for s in shifts)
 
 
 class TestSimulate:
@@ -99,20 +112,18 @@ class TestMlOracle:
 class TestEstimateCle:
     def test_huge_budget_never_gives_up(self):
         prof = profile_from_arrivals(12, [1, 3, 7, 9])
-        rate, ci = estimate_cle(TrialConfig(profile=prof, p=0.1, gamma=1.0,
-                                            limit=1 << 20, trials=300,
-                                            base_seed=5))
-        assert rate == 0.0
+        stats = simulate(TrialConfig(profile=prof, p=0.1, gamma=1.0,
+                                     limit=1 << 20, trials=300, base_seed=5))
+        assert stats.giveup_rate == 0.0
 
     def test_give_up_rate_below_bound(self):
         cm = model(0.08, 1.0, 24)
         tables = MomentTables(24, 0.08, 1.0)
         prof = sbp_optimize(24, 6, cm, 256, tables).final_profile
         bound, _ = d_cle_g(prof, cm, 256, tables)
-        rate, ci = estimate_cle(TrialConfig(profile=prof, p=0.08, gamma=1.0,
-                                            limit=256, trials=2000,
-                                            base_seed=5))
-        assert rate <= bound + 3 * ci
+        stats = simulate(TrialConfig(profile=prof, p=0.08, gamma=1.0,
+                                     limit=256, trials=2000, base_seed=5))
+        assert stats.giveup_rate <= bound + 3 * stats.giveup_ci
 
     def test_discount_comparison_within_noise(self):
         # the deterministic statement: discounting lowers the node-count
@@ -125,13 +136,12 @@ class TestEstimateCle:
         bound_flat, _ = d_cle_g(prof, model(0.08, 1.0, 24), 96,
                                 MomentTables(24, 0.08, 1.0))
         assert bound_disc <= bound_flat
-        r_flat, ci_flat = estimate_cle(
-            TrialConfig(profile=prof, p=0.08, gamma=1.0, limit=96,
-                        trials=1500, base_seed=7))
-        r_disc, ci_disc = estimate_cle(
-            TrialConfig(profile=prof, p=0.08, gamma=0.9992, limit=96,
-                        trials=1500, base_seed=7))
-        assert r_disc <= r_flat + 3 * (ci_flat + ci_disc)
+        flat = simulate(TrialConfig(profile=prof, p=0.08, gamma=1.0, limit=96,
+                                    trials=1500, base_seed=7))
+        disc = simulate(TrialConfig(profile=prof, p=0.08, gamma=0.9992,
+                                    limit=96, trials=1500, base_seed=7))
+        assert disc.giveup_rate <= flat.giveup_rate \
+            + 3 * (flat.giveup_ci + disc.giveup_ci)
 
 
 class TestWilson:
@@ -144,3 +154,37 @@ class TestWilson:
 
     def test_shrinks_with_trials(self):
         assert wilson_halfwidth(10, 100) > wilson_halfwidth(100, 1000)
+
+
+# Exact SimStats of two small campaigns on fixed seeds, one with a fresh
+# generator per trial and one with a fixed code.  A change to a stream key,
+# to which stream a draw uses or to the decoder's pop order changes them.
+PINNED_PROFILE_ARRIVALS = (16, [1, 2, 4, 6, 8, 11])
+PINNED_STATS = [
+    (dict(p=0.1, gamma=0.9992, limit=24, trials=300, base_seed=9,
+          resample_code=True),
+     {"trials": 300, "giveup_count": 105, "undetected_count": 26,
+      "fer": 0.43666666666666665, "giveup_rate": 0.35,
+      "undetected_error_rate": 0.08666666666666667,
+      "fer_ci": 0.05577339551417854, "giveup_ci": 0.05366444357979625,
+      "undetected_ci": 0.03206353084445123,
+      "mean_nodes_checked": 19.726666666666667,
+      "mean_nodes_ci": 0.6341454247565217,
+      "max_nodes_checked": 26, "max_stack_size": 14}),
+    (dict(p=0.1, gamma=1.0, limit=24, trials=200, base_seed=4,
+          resample_code=False),
+     {"trials": 200, "giveup_count": 80, "undetected_count": 1,
+      "fer": 0.405, "giveup_rate": 0.4, "undetected_error_rate": 0.005,
+      "fer_ci": 0.06741259370286175, "giveup_ci": 0.06727874749074705,
+      "undetected_ci": 0.013445267995291277, "mean_nodes_checked": 19.88,
+      "mean_nodes_ci": 0.7414987031425843,
+      "max_nodes_checked": 26, "max_stack_size": 14}),
+]
+
+
+@pytest.mark.parametrize("fields,expected", PINNED_STATS,
+                         ids=["resampled", "fixed-code"])
+def test_pinned_statistics(fields, expected):
+    prof = profile_from_arrivals(*PINNED_PROFILE_ARRIVALS)
+    stats = simulate(TrialConfig(profile=prof, **fields))
+    assert stats.to_json_dict() == expected

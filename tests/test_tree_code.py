@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cort import (ProfileError, children, encode, encode_prefix,
-                  profile_from_arrivals, profile_from_json_dict,
-                  profile_from_s, pure_random_profile, sample_generator)
+from cort import (ProfileError, encode, profile_from_arrivals,
+                  profile_from_json_dict, profile_from_s, sample_generator)
 from cort.tree_code import load_profile, save_profile
 
 
@@ -152,17 +151,21 @@ class TestEncoding:
         assert encode(g, [1, 1]).tolist() == [1, 1, 1, 0]
 
     def test_prefix_property(self):
+        # bit t reads only the first s(t) message bits: zeroing the others
+        # leaves the first t coded bits unchanged
         prof = profile_from_arrivals(8, [1, 2, 5, 7])
         g = sample_generator(prof, 11)
         m = [1, 0, 1, 1]
         full = encode(g, m)
         for t in range(1, 9):
-            assert encode_prefix(g, m, t).tolist() == full[:t].tolist()
+            st_level = prof.s[t - 1]
+            head = m[:st_level] + [0] * (4 - st_level)
+            assert encode(g, head)[:t].tolist() == full[:t].tolist()
 
     def test_short_prefix_rejected(self):
         g = sample_generator(profile_from_arrivals(4, [1, 3]), 2)
-        with pytest.raises(ValueError, match="prefix"):
-            encode_prefix(g, [1], 4)
+        with pytest.raises(ValueError, match="message has 1 bits"):
+            encode(g, [1])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 31), st.data())
@@ -176,31 +179,7 @@ class TestEncoding:
         m2 = list(m1)
         for j in range(st_level, 4):
             m2[j] ^= data.draw(st.integers(0, 1))
-        assert encode_prefix(g, m1, t).tolist() == encode_prefix(g, m2, t).tolist()
-
-
-class TestChildren:
-    def test_root_of_two_stage(self):
-        prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        assert children(prof, 0) == ((0,), (1,))
-
-    def test_mid_stage(self):
-        prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        assert children(prof, 1) == ((0,), (1,))
-
-    def test_pure_random_root(self):
-        prof = pure_random_profile(4, 3)
-        assert len(children(prof, 0)) == 8
-
-    def test_terminal_has_no_children(self):
-        prof = pure_random_profile(4, 3)
-        with pytest.raises(ProfileError, match="terminal"):
-            children(prof, 3)
-
-    def test_invalid_level(self):
-        prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        with pytest.raises(ProfileError):
-            children(prof, 7)
+        assert encode(g, m1)[:t].tolist() == encode(g, m2)[:t].tolist()
 
 
 class TestJson:
