@@ -143,6 +143,9 @@ def _validate_channel(args):
 
 def cmd_bound(args) -> int:
     _validate_channel(args)
+    if args.profile == "pure" and args.n is not None:
+        # a pure profile has one stage: reject its grid before building it
+        _validate_grid_points(args, args.n, 1)
     prof = _resolve_profile(args)
     _validate_grid_points(args, prof.n, prof.num_stages)
     _validate_limit(args)
@@ -222,9 +225,9 @@ def cmd_simulate(args) -> int:
     if est > MEMORY_CEILING:
         raise CliError(
             f"{decodes} decode(s) at once (--threads {args.threads}) could "
-            f"need about {est / 1e9:.1f} GB (each holds the largest stage's "
-            f"sibling block plus {BYTES_PER_CHECK} bytes per node check); "
-            f"reduce --limit, --threads or the bits per stage")
+            f"need about {est / 1e9:.1f} GB (each holds the suffix tables, "
+            f"the largest sibling block and {BYTES_PER_CHECK} bytes per "
+            f"node check); reduce --limit, --threads or the bits per stage")
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cort import cli
 from cort.cli import main
 from cort.tree_code import load_profile
 
@@ -49,6 +50,16 @@ class TestBoundCommand:
         path.write_text(doc)
         assert run(tmp_path, "bound", "--profile", str(path), "--p", "0.05") == 2
         assert message in capsys.readouterr().err
+
+    def test_pure_grid_checked_before_profile(self, tmp_path, capsys,
+                                              monkeypatch):
+        def unbuilt(n, k):
+            raise AssertionError("profile built before the memory check")
+
+        monkeypatch.setattr(cli, "pure_random_profile", unbuilt)
+        assert run(tmp_path, "bound", "--profile", "pure", "--n", "10000000",
+                   "--k", "1", "--p", "0.1") == 2
+        assert "GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
         (["--n", "4", "--k", "2", "--limit", "nan"], "--limit"),

@@ -7,6 +7,7 @@ from cort import (BscChannel, CostModel, GeneratorMatrix, encode,
                   ml_consistency_check, prefix_cost, profile_from_arrivals,
                   profile_from_s, pure_random_profile, sample_generator,
                   ssdgu_decode, transmit)
+from cort import decoder
 from cort.montecarlo import draw_message
 from eager_decoder import eager_decode
 
@@ -196,6 +197,43 @@ class TestMatchesEagerReference:
             assert trace == expected_trace
             giveups += expected.gave_up
         assert 0 < giveups < seeds
+
+    # s(1) = 13: the 8192 root children lie above the lazy-selection
+    # threshold, so they are costed in two chunks and ordered a slice at a
+    # time; the 13-symbol root segment makes some decodes pop past the
+    # first slice
+    LAZY_ROOT = profile_from_arrivals(
+        40, [1] * 13 + [14 + 2 * j for j in range(11)])
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    def test_lazy_root_block(self, gamma, monkeypatch):
+        prof = self.LAZY_ROOT
+        assert prof.branch_fanout[0] == 2 * decoder._CHUNK_ROWS
+        slices = []
+        next_slice = decoder._next_slice
+
+        def recorded(costs, above, size):
+            order, rest = next_slice(costs, above, size)
+            slices.append(len(order))
+            return order, rest
+
+        monkeypatch.setattr(decoder, "_next_slice", recorded)
+        cm = model(p=0.1, gamma=gamma, n=prof.n)
+        seeds, limit = 20, 16000
+        giveups = past_first_slice = 0
+        for seed in range(seeds):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, limit, trace=expected_trace)
+            slices.clear()
+            assert ssdgu_decode(g, y, cm, limit, trace=trace) == expected
+            assert trace == expected_trace
+            root_pops = sum(record["stage"] == 1 for record in trace)
+            past_first_slice += root_pops > slices[0]
+            giveups += expected.gave_up
+        assert 0 < giveups < seeds
+        assert past_first_slice > 0
 
 
 class TestMlConsistency:
