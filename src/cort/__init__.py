@@ -5,9 +5,9 @@ optimization, a give-up stack decoder, and Monte Carlo validation."""
 __version__ = "0.1.0"
 
 from .bounds import (BoundReport, MomentTables, chernoff_grid, d_cfe_g,
-                     d_cle_g, d_cle_m_exact, d_e_g, expected_checks_bound,
-                     gallager_reference_bsc, rcu_exact_bsc, tau_distribution)
-from .channel import BscChannel, error_weight_distribution, transmit
+                     d_cle_g, d_cle_m_exact, d_e_g, gallager_reference_bsc,
+                     rcu_exact_bsc, tau_distribution)
+from .channel import BscChannel, transmit
 from .decoder import DecodeOutcome, ssdgu_decode
 from .measure import CostModel, check_aec, prefix_cost
 from .montecarlo import (SimStats, TrialConfig, ml_consistency_check,
@@ -23,10 +23,10 @@ __all__ = [
     "GeneratorMatrix", "MomentTables", "ProfileError", "SbpStep", "SbpTrace",
     "SimStats", "TreeProfile", "TrialConfig", "candidate_sweep",
     "check_aec", "chernoff_grid", "d_cfe_g", "d_cle_g", "d_cle_m_exact",
-    "d_e_g", "encode", "error_weight_distribution", "expected_checks_bound",
-    "gallager_reference_bsc", "load_profile", "ml_consistency_check",
-    "ml_oracle", "prefix_cost", "profile_from_arrivals",
-    "profile_from_json_dict", "profile_from_s", "pure_random_profile",
-    "rcu_exact_bsc", "sample_generator", "save_profile", "sbp_optimize",
-    "simulate", "ssdgu_decode", "tau_distribution", "transmit",
+    "d_e_g", "encode", "gallager_reference_bsc", "load_profile",
+    "ml_consistency_check", "ml_oracle", "prefix_cost",
+    "profile_from_arrivals", "profile_from_json_dict", "profile_from_s",
+    "pure_random_profile", "rcu_exact_bsc", "sample_generator",
+    "save_profile", "sbp_optimize", "simulate", "ssdgu_decode",
+    "tau_distribution", "transmit",
 ]

@@ -101,28 +101,18 @@ def _require_match(tables: MomentTables, profile: TreeProfile, cm: CostModel):
 def tau_distribution(profile: TreeProfile) -> np.ndarray:
     """Full-depth agreement-stage distribution over h = 0..h_f; the terminal
     entry 2^-k is the probability the competitor equals the message."""
+    lv = np.exp2(-np.asarray(profile.levels, dtype=float))
+    return np.append(lv[:-1] - lv[1:], 2.0 ** -profile.k)
+
+
+def _tau_matrix(profile: TreeProfile) -> np.ndarray:
+    """Lower-triangular [h, h'] -> Pr(tau_h = b_h').  Its diagonal is the
+    probability 2^-s(b_h) of agreeing through stage h, which in the h = 0
+    root row is the unit mass the root term carries."""
     h_f = profile.num_stages
-    levels = profile.branch_levels
-    out = np.empty(h_f + 1)
-    out[0] = 1.0 - 2.0 ** (-levels[0])
-    for j in range(1, h_f):
-        out[j] = 2.0 ** (-levels[j - 1]) - 2.0 ** (-levels[j])
-    out[h_f] = 2.0 ** (-profile.k)
-    return out
-
-
-def _tau_matrix(levels_ext, h_f: int) -> np.ndarray:
-    """Lower-triangular [h, h'] -> Pr(tau_h = b_h'), with the h = 0 root row
-    set to the unit mass the root term carries."""
-    q = np.empty(h_f)
-    q[0] = 1.0 - 2.0 ** (-float(levels_ext[1]))
-    for j in range(1, h_f):
-        q[j] = 2.0 ** (-float(levels_ext[j])) - 2.0 ** (-float(levels_ext[j + 1]))
-    tau = np.tile(q, (h_f, 1))
-    for h in range(1, h_f):
-        tau[h, h] = 2.0 ** (-float(levels_ext[h]))
-    tau[0, 0] = 1.0
-    return np.tril(tau)
+    tau = np.tril(np.tile(tau_distribution(profile)[:h_f], (h_f, 1)))
+    np.fill_diagonal(tau, np.exp2(-np.asarray(profile.levels[:h_f], dtype=float)))
+    return tau
 
 
 def _cle_curve(profile: TreeProfile, cm: CostModel, limit: float,
@@ -130,12 +120,10 @@ def _cle_curve(profile: TreeProfile, cm: CostModel, limit: float,
     """Computation-limit bound evaluated at every grid point."""
     _require_match(tables, profile, cm)
     h_f = profile.num_stages
-    r = profile.stage_end_times()  # r_[0..h_f]
-    levels_ext = np.concatenate([[0], profile.branch_levels])
-    rh = r[:h_f]
-    tau = _tau_matrix(levels_ext, h_f)
+    rh = np.asarray(profile.ends[:h_f])
+    tau = _tau_matrix(profile)
     log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
-    log_v = levels_ext[1:h_f + 1].astype(float) - math.log2(limit)
+    log_v = np.asarray(profile.levels[1:], dtype=float) - math.log2(limit)
 
     SA = tables.prefix_abar[:, rh]
     SB = tables.prefix_a[:, rh]
@@ -158,7 +146,7 @@ def _cfe_curve(profile: TreeProfile, cm: CostModel,
     """Computation-free bound evaluated at every grid point."""
     _require_match(tables, profile, cm)
     h_f = profile.num_stages
-    rh = profile.stage_end_times()[:h_f]
+    rh = np.asarray(profile.ends[:h_f])
     log_w = profile.k + np.log2(tau_distribution(profile)[:h_f])
     S = (tables.prefix_abar[:, -1][:, None] - tables.prefix_abar[:, rh]) \
         + (tables.prefix_a[:, -1][:, None] - tables.prefix_a[:, rh])
@@ -273,22 +261,15 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
         raise ValueError("limit must be at least 1")
     n = profile.n
     h_f = profile.num_stages
-    r = profile.stage_end_times()
-    levels_ext = np.concatenate([[0], profile.branch_levels])
-    tau = _tau_matrix(levels_ext, h_f)
+    r, levels = profile.ends, profile.levels
+    tau = _tau_matrix(profile)
     P = _binom_order_table(n, cm.p)
     total = 0.0
     for h in range(h_f):
-        v = 2.0 ** float(levels_ext[h + 1]) / limit
+        v = 2.0 ** float(levels[h + 1]) / limit
         for hp in range(h + 1):
             total += v * tau[h, hp] * P[r[h] - r[hp], n - r[hp]]
     return total
-
-
-def expected_checks_bound(d_cle_m: float, limit: float) -> float:
-    """Upper bound on the mean number of node checks: the expected-count
-    bound times the budget."""
-    return d_cle_m * limit
 
 
 def rcu_exact_bsc(n: int, k: int, p: float) -> float:

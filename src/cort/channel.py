@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .streams import CHANNEL_STREAM, stream
 
@@ -43,12 +42,3 @@ def transmit(ch: BscChannel, x, seed: int) -> np.ndarray:
     errors = (stream(seed, CHANNEL_STREAM).random(len(x)) < ch.p).astype(np.uint8)
     return x ^ errors
 
-
-def error_weight_distribution(ch: BscChannel, n: int) -> np.ndarray:
-    """Pr(W = w) for the number of flips in n uses, w = 0..n.
-
-    Evaluated through the log-pmf for numerical stability at large n.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return np.exp(stats.binom.logpmf(np.arange(n + 1), n, ch.p))

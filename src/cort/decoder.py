@@ -89,8 +89,8 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     (c_0 = 2^21, 32 root symbols) the largest expansion's traced peak was
     103 MB against 136 MB estimated for the tables and block.
     """
-    r = profile.stage_end_times()
-    shapes = [(fanout, int(r[h + 1] - r[h]))
+    r = profile.ends
+    shapes = [(fanout, r[h + 1] - r[h])
               for h, fanout in enumerate(profile.branch_fanout)]
     tables = sum(rows * seg for rows, seg in shapes)
     block = max(10 * min(rows, _CHUNK_ROWS) * seg + 32 * rows
@@ -202,8 +202,7 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             f"limit {limit} cannot cover the root expansion (c_0 = {c0})")
 
     k = prof.k
-    levels = (0,) + prof.branch_levels
-    r = prof.stage_end_times().tolist()
+    levels, r = prof.levels, prof.ends
     fanout = prof.branch_fanout
     blocks = [None] * prof.num_stages
     heap = []

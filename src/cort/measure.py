@@ -1,7 +1,7 @@
 """Discounted accumulating-error-cost measures for the BSC.
 
 The cost of a coded prefix against the channel output is
-    sum_t  scale * gamma^(t-1) * Delta * [x_t != y_t],
+    sum_t  gamma^(t-1) * Delta * [x_t != y_t],
 with Delta = log2((1-p)/p).  Every per-symbol term is non-negative, so the
 prefix cost never decreases as the prefix grows (the accumulating property
 the sequential decoder relies on).
@@ -21,22 +21,18 @@ from .streams import AEC_CHECK_STREAM, stream
 class CostModel:
     """Per-symbol mismatch penalties gamma^(t-1) * Delta, precomputed for n uses.
 
-    gamma in (0, 1] discounts later symbols; scale multiplies every penalty
-    and never changes cost comparisons (only absolute values).
+    gamma in (0, 1] discounts later symbols.
     """
 
     channel: BscChannel
     gamma: float
     n: int
-    scale: float = 1.0
     per_symbol_cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        w = self.scale * self.channel.llr_scale * self.gamma ** np.arange(self.n)
+        w = self.channel.llr_scale * self.gamma ** np.arange(self.n)
         w.setflags(write=False)
         object.__setattr__(self, "per_symbol_cost", w)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,21 +66,7 @@ class SimStats:
     max_stack_size: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "giveup_count": self.giveup_count,
-            "undetected_count": self.undetected_count,
-            "fer": self.fer,
-            "giveup_rate": self.giveup_rate,
-            "undetected_error_rate": self.undetected_error_rate,
-            "fer_ci": self.fer_ci,
-            "giveup_ci": self.giveup_ci,
-            "undetected_ci": self.undetected_ci,
-            "mean_nodes_checked": self.mean_nodes_checked,
-            "mean_nodes_ci": self.mean_nodes_ci,
-            "max_nodes_checked": self.max_nodes_checked,
-            "max_stack_size": self.max_stack_size,
-        }
+        return asdict(self)
 
 
 def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:

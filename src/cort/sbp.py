@@ -53,30 +53,22 @@ class SbpTrace:
         return json.dumps(self.to_json_dict())
 
 
-def _candidate_vectors(s: np.ndarray):
-    """All distinct suffix-increment candidates of s, smallest position first."""
-    seen = {}
-    for j in range(1, len(s) + 1):
-        cand = s.copy()
-        cand[j - 1:] += 1
-        key = cand.tobytes()
-        if key not in seen:
-            seen[key] = (j, cand)
-    return list(seen.values())
-
-
 def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
                     tables: MomentTables):
-    """Evaluate the bound for every distinct insertion position.
+    """Evaluate the bound for every insertion position.
 
+    Candidate j adds the bit at every t >= j, so the n candidates are
+    distinct: at t = j candidate j has s(j) + 1 and every later one s(j).
     Returns [(position, BoundReport)] in position order; each candidate is an
     (n, k+1) profile and is evaluated as such (its own bit count everywhere
     the bound formulas involve k).
     """
     s = np.asarray(current.s, dtype=np.int64)
     out = []
-    for j, cand in _candidate_vectors(s):
-        prof = profile_from_s(current.n, int(cand[-1]), cand)
+    for j in range(1, current.n + 1):
+        cand = s.copy()
+        cand[j - 1:] += 1
+        prof = profile_from_s(current.n, current.k + 1, cand)
         out.append((j, d_e_g(prof, cm, limit, tables)))
     return out
 

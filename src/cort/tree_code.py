@@ -2,8 +2,8 @@
 
 A profile is stored canonically as the vector s(1..n), where s(t) counts the
 message bits that have arrived by time t.  Everything else (arrival times,
-branching times, fanouts, last-time-at-level) is derived from s at
-construction and never stored independently.
+stage levels, stage end times, fanouts) is derived from s once, at
+construction, and never stored independently.
 
 Time indices t and arrival times are 1-based throughout, matching the JSON
 interchange format; message bits are 0-based in code.
@@ -27,36 +27,28 @@ class ProfileError(ValueError):
 class TreeProfile:
     """Branching structure of an (n, k) random tree code.
 
-    Fields beyond (n, k, s) are derived:
-      arrivals[j]        -- first time t with s(t) >= j+1 (0-based bit j)
-      branch_times       -- times b_1..b_{h_f} where s strictly increases
-      branch_fanout      -- children counts c_0..c_{h_f-1}; c_0 = 2^{s(b_1)}
-      last_same_level[l] -- r_{l+1}: last time t with s(t) <= l+1 (0-based l)
+    Fields beyond (n, k, s) are derived from s, with b_1 = 1 < b_2 < ... <
+    b_{h_f} the branching times, where s strictly increases:
+      arrivals[j]      -- first time t with s(t) >= j+1 (0-based bit j)
+      levels[h]        -- s(b_h), the prefix length of a stage-h node, for
+                          h = 0..h_f: (0, s(b_1), ..., s(b_{h_f}) = k)
+      ends[h]          -- r_[h], the last time whose output a stage-h node
+                          determines: (0, b_2 - 1, ..., b_{h_f} - 1, n)
+      branch_fanout[h] -- c_h = 2^(levels[h+1] - levels[h]), h = 0..h_f-1
     """
 
     n: int
     k: int
     s: tuple
     arrivals: tuple = field(repr=False)
-    branch_times: tuple = field(repr=False)
+    levels: tuple = field(repr=False)
+    ends: tuple = field(repr=False)
     branch_fanout: tuple = field(repr=False)
-    last_same_level: tuple = field(repr=False)
 
     @property
     def num_stages(self) -> int:
         """Number of branching stages h_f."""
-        return len(self.branch_times)
-
-    @property
-    def branch_levels(self) -> tuple:
-        """s(b_h) for h = 1..h_f; the prefix lengths of stage-h nodes."""
-        return tuple(self.s[t - 1] for t in self.branch_times)
-
-    def stage_end_times(self) -> np.ndarray:
-        """r_{[h]} for h = 0..h_f: the last time whose output a stage-h node
-        determines.  r_{[0]} = 0 (root), r_{[h_f]} = n."""
-        bt = np.asarray(self.branch_times, dtype=np.int64)
-        return np.concatenate([[0], bt[1:] - 1, [self.n]])
+        return len(self.levels) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,72 +59,68 @@ class TreeProfile:
         }
 
 
+def _integer_array(name: str, values) -> np.ndarray:
+    """values as a 1-D int64 array.  A float, bool or string among them
+    raises ProfileError, where int() would truncate or coerce it."""
+    arr = np.asarray(values)
+    if (arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+            or (not isinstance(values, np.ndarray)
+                and any(isinstance(v, (bool, np.bool_)) for v in values))):
+        raise ProfileError(f"{name} must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def profile_from_s(n: int, k: int, s) -> TreeProfile:
     """Build and fully derive a TreeProfile from its s-vector.
 
-    Rejects non-monotone s, s(1) < 1, or s(n) != k, naming the first
-    offending (1-based) time index.
+    Rejects non-integer entries, non-monotone s, s(1) < 1, or s(n) != k,
+    naming the first offending (1-based) time index.
     """
-    s = [int(v) for v in s]
+    _integer_array("n and k", [n, k])
+    n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise ProfileError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    s = _integer_array("the entries of s", s)
     if len(s) != n:
         raise ProfileError(f"s has length {len(s)}, expected n={n}")
     if s[0] < 1:
         raise ProfileError("s(1) must be at least 1 (the first bit arrives at t=1)")
-    for t in range(1, n):
-        if s[t] < s[t - 1]:
-            raise ProfileError(f"s is decreasing at t={t + 1}")
+    steps = np.diff(s)
+    drops = np.flatnonzero(steps < 0)
+    if len(drops):
+        raise ProfileError(f"s is decreasing at t={drops[0] + 2}")
     if s[-1] != k:
         raise ProfileError(f"s(n)={s[-1]} does not equal k={k}")
 
-    arrivals = []
-    t = 0
-    for j in range(1, k + 1):  # a_j = min{t : s(t) >= j}
-        while s[t] < j:
-            t += 1
-        arrivals.append(t + 1)
-
-    branch_times = [1] + [t + 1 for t in range(1, n) if s[t] > s[t - 1]]
-
-    levels = [0] + [s[t - 1] for t in branch_times]
-    fanout = [2 ** (levels[h + 1] - levels[h]) for h in range(len(branch_times))]
-
-    # r_l = max{t : s(t) <= l}; equals max{t : s(t) = l} at attained levels
-    # and extends past skipped ones.
-    last = []
-    t = n
-    for level in range(k, 0, -1):
-        while t >= 1 and s[t - 1] > level:
-            t -= 1
-        last.append(t)
-    last.reverse()
-
+    # 0-based indices of the branching times b_2..b_{h_f}, so also b_h - 1
+    rises = np.flatnonzero(steps) + 1
+    levels = [0, int(s[0])] + s[rises].tolist()
     return TreeProfile(
         n=n,
         k=k,
-        s=tuple(s),
-        arrivals=tuple(arrivals),
-        branch_times=tuple(branch_times),
-        branch_fanout=tuple(fanout),
-        last_same_level=tuple(last),
+        s=tuple(s.tolist()),
+        arrivals=tuple((np.searchsorted(s, np.arange(1, k + 1)) + 1).tolist()),
+        levels=tuple(levels),
+        ends=tuple([0] + rises.tolist() + [n]),
+        branch_fanout=tuple(1 << (b - a) for a, b in zip(levels, levels[1:])),
     )
 
 
 def profile_from_arrivals(n: int, arrivals) -> TreeProfile:
     """Build a profile from non-decreasing 1-based arrival times (a_1 = 1)."""
-    arrivals = [int(a) for a in arrivals]
-    if not arrivals:
+    a = _integer_array("arrival times", arrivals)
+    if not len(a):
         raise ProfileError("need at least one arrival time")
-    if arrivals[0] != 1:
+    if a[0] != 1:
         raise ProfileError("a_1 must be 1")
-    for j in range(1, len(arrivals)):
-        if arrivals[j] < arrivals[j - 1]:
-            raise ProfileError(f"arrival times decrease at j={j + 1}")
-    if arrivals[-1] > n or arrivals[0] < 1:
+    drops = np.flatnonzero(np.diff(a) < 0)
+    if len(drops):
+        raise ProfileError(f"arrival times decrease at j={drops[0] + 2}")
+    if a[-1] > n:
         raise ProfileError(f"arrival times must lie in 1..{n}")
-    s = [sum(1 for a in arrivals if a <= t) for t in range(1, n + 1)]
-    return profile_from_s(n, len(arrivals), s)
+    # s(t) = #{j : a_j <= t}
+    s = np.searchsorted(a, np.arange(1, n + 1), side="right")
+    return profile_from_s(n, len(a), s)
 
 
 def pure_random_profile(n: int, k: int) -> TreeProfile:
@@ -142,7 +130,7 @@ def pure_random_profile(n: int, k: int) -> TreeProfile:
 
 def profile_from_json_dict(doc: dict) -> TreeProfile:
     """Read a profile from its JSON form; only "s" is required."""
-    prof = profile_from_s(int(doc["n"]), int(doc["k"]), doc["s"])
+    prof = profile_from_s(doc["n"], doc["k"], doc["s"])
     if "arrivals" in doc and list(doc["arrivals"]) != list(prof.arrivals):
         raise ProfileError("arrivals in document are inconsistent with s")
     return prof

@@ -25,8 +25,8 @@ class _StageTables:
 
     def __init__(self, g, cm, y):
         prof = g.profile
-        r = prof.stage_end_times()
-        levels = (0,) + prof.branch_levels
+        r = prof.ends
+        levels = prof.levels
         self.levels = levels
         self.parent_cols = []
         self.suffix_outputs = []

@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 
 from cort import (BoundReport, BscChannel, CostModel, MomentTables,
-                  chernoff_grid, d_cfe_g, d_cle_g, d_cle_m_exact, d_e_g,
-                  expected_checks_bound, gallager_reference_bsc,
-                  profile_from_arrivals, profile_from_s, pure_random_profile,
-                  rcu_exact_bsc, sbp_optimize, tau_distribution)
+                  TrialConfig, chernoff_grid, d_cfe_g, d_cle_g, d_cle_m_exact,
+                  d_e_g, gallager_reference_bsc, profile_from_arrivals,
+                  profile_from_s, pure_random_profile, rcu_exact_bsc,
+                  sbp_optimize, simulate, tau_distribution)
 
 
 def model(p, gamma, n):
@@ -220,8 +220,8 @@ class TestExactCle:
         # independent estimate: sample everything, compare window costs
         rng = np.random.default_rng(77)
         n, k, L = 6, 3, 64.0
-        r = prof.stage_end_times()
-        levels = (0,) + prof.branch_levels
+        r = prof.ends
+        levels = prof.levels
         w = np.asarray(cm.per_symbol_cost)
         B = 400_000
         G = rng.integers(0, 2, (B, n, k), dtype=np.uint8)
@@ -241,9 +241,15 @@ class TestExactCle:
         se = est.std() / math.sqrt(B)
         assert abs(est.mean() - exact) <= 4 * se
 
-    def test_expected_checks_bound(self):
-        assert expected_checks_bound(2.2e-5, 1e9) == pytest.approx(2.2e4)
-        assert expected_checks_bound(0.5, 128) == 64.0
+    def test_bounds_mean_node_checks(self):
+        # d_cle_m_exact * limit bounds the mean node-check count; a give-up
+        # only truncates the count, so it holds below any limit too
+        prof = profile_from_arrivals(12, [1, 3, 5, 7, 9, 11])
+        limit = 256
+        sim = simulate(TrialConfig(profile=prof, p=0.1, gamma=1.0,
+                                   limit=limit, trials=2000, base_seed=11))
+        bound = d_cle_m_exact(prof, model(0.1, 1.0, 12), limit) * limit
+        assert sim.mean_nodes_checked <= bound + 3 * sim.mean_nodes_ci
 
 
 class TestRcu:

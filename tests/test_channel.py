@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cort import BscChannel, error_weight_distribution, transmit
+from cort import BscChannel, transmit
 
 
 class TestBscChannel:
@@ -51,26 +51,3 @@ class TestTransmit:
         _, pvalue, _, _ = stats.chi2_contingency(table)
         assert pvalue > 1e-4
 
-
-class TestErrorWeightDistribution:
-    def test_single_use(self):
-        dist = error_weight_distribution(BscChannel(0.03), 1)
-        assert np.allclose(dist, [0.97, 0.03], atol=1e-15)
-
-    def test_symmetric_half(self):
-        dist = error_weight_distribution(BscChannel(0.499999), 2)
-        assert np.allclose(dist, [0.25, 0.5, 0.25], atol=1e-5)
-
-    def test_large_n_mode_and_mass(self):
-        dist = error_weight_distribution(BscChannel(0.02), 128)
-        assert int(np.argmax(dist)) == 2
-        assert abs(dist.sum() - 1.0) < 1e-12
-
-    def test_matches_direct_binomial(self):
-        dist = error_weight_distribution(BscChannel(0.1), 20)
-        direct = [math.comb(20, w) * 0.1 ** w * 0.9 ** (20 - w) for w in range(21)]
-        assert np.allclose(dist, direct, rtol=1e-12)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            error_weight_distribution(BscChannel(0.1), 0)

@@ -44,7 +44,12 @@ class TestBoundCommand:
         ('{"n": 4, "k": 2}', "lacks the field 's'"),
         ('{"n": 4, "k": 2, "s": [1, 1, 2', "invalid profile file"),
         ('{"n": 4, "k": 2, "s": [2, 1, 2, 2]}', "decreasing at t=2"),
-    ], ids=["missing-s", "invalid-json", "decreasing-s"])
+        ('{"n": 4, "k": 2, "s": [1.9, 1.2, 2.7, 2]}', "must be integers"),
+        ('{"n": 4.9, "k": 2, "s": [1, 1, 2, 2]}', "must be integers"),
+        ('{"n": 4, "k": 2, "s": [true, 1, 2, 2]}', "must be integers"),
+        ('{"n": 4, "k": "2", "s": [1, 1, 2, 2]}', "must be integers"),
+    ], ids=["missing-s", "invalid-json", "decreasing-s", "fractional-s",
+            "fractional-n", "boolean-s", "string-k"])
     def test_invalid_profile_file(self, tmp_path, capsys, doc, message):
         path = tmp_path / "profile.json"
         path.write_text(doc)

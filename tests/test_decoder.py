@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ class TestOutcomeInvariants:
         # costly as the transmitted message}|
         prof = profile_from_arrivals(12, [1, 3, 5, 7, 9, 11])
         cm = model(p=0.1, gamma=1.0, n=12)
-        r = prof.stage_end_times()
-        levels = prof.branch_levels
+        r = prof.ends
+        levels = prof.levels
         for seed in range(30):
             g = sample_generator(prof, seed)
             m = draw_message(6, seed)
@@ -127,10 +128,10 @@ class TestOutcomeInvariants:
             bound = prof.branch_fanout[0]
             for h in range(1, prof.num_stages):
                 count = 0
-                for idx in range(2 ** levels[h - 1]):
-                    prefix = [(idx >> (levels[h - 1] - 1 - b)) & 1
-                              for b in range(levels[h - 1])]
-                    seg = (g.bits[:r[h], :levels[h - 1]] @ np.asarray(prefix)) % 2
+                for idx in range(2 ** levels[h]):
+                    prefix = [(idx >> (levels[h] - 1 - b)) & 1
+                              for b in range(levels[h])]
+                    seg = (g.bits[:r[h], :levels[h]] @ np.asarray(prefix)) % 2
                     if prefix_cost(cm, seg, y) <= true_cost + 1e-12:
                         count += 1
                 bound += prof.branch_fanout[h] * count
@@ -148,11 +149,11 @@ class TestOutcomeInvariants:
             y = transmit(cm.channel, encode(g, m), seed)
             trace = []
             out = ssdgu_decode(g, y, cm, 4096, trace=trace)
-            stack = {(b,) for b in (0, 1)} if prof.branch_levels[0] == 1 else {
-                tuple((i >> (prof.branch_levels[0] - 1 - b)) & 1
-                      for b in range(prof.branch_levels[0]))
+            stack = {(b,) for b in (0, 1)} if prof.levels[1] == 1 else {
+                tuple((i >> (prof.levels[1] - 1 - b)) & 1
+                      for b in range(prof.levels[1]))
                 for i in range(prof.branch_fanout[0])}
-            levels = (0,) + prof.branch_levels
+            levels = prof.levels
             for rec in trace:
                 node = rec["prefix"]
                 for a in stack:
@@ -235,6 +236,27 @@ class TestMatchesEagerReference:
         assert 0 < giveups < seeds
         assert past_first_slice > 0
 
+
+
+class TestMemoryEstimate:
+    def test_covers_traced_peak_at_root_limit(self):
+        # at limit = c_0 a decode holds little beyond the lazily ordered
+        # root block; the estimate must still cover its traced peak
+        prof = TestMatchesEagerReference.LAZY_ROOT
+        c0 = prof.branch_fanout[0]
+        estimate = decoder.decode_memory_bytes(prof, c0)
+        assert decoder.decode_memory_bytes(prof, c0 + 1000) - estimate \
+            == 1000 * decoder.BYTES_PER_CHECK
+        cm = model(p=0.1, gamma=1.0, n=prof.n)
+        g = sample_generator(prof, 0)
+        y = transmit(cm.channel, encode(g, draw_message(prof.k, 0)), 0)
+        tracemalloc.start()
+        try:
+            ssdgu_decode(g, y, cm, c0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
 
 class TestMlConsistency:
     def test_noiseless_case(self):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cort import (BscChannel, CostModel, MomentTables, candidate_sweep, d_e_g,
-                  profile_from_s, sbp_optimize)
+from cort import (BscChannel, CostModel, MomentTables, candidate_sweep,
+                  d_cle_m_exact, d_e_g, profile_from_s, sbp_optimize)
 
 
 def setup(n, p, gamma=1.0, grid_points=10):
@@ -110,3 +110,45 @@ class TestTraceSerialization:
         assert doc["final_profile"]["s"] == list(trace.final_profile.s)
         assert {"step", "position", "d_e_g", "d_cle_g", "d_cfe_g",
                 "varrho", "rho"} <= set(doc["steps"][0])
+
+
+class TestPinnedOutputs:
+    """sbp_optimize(32, 8, p = 0.05, L = 4096) on the default grid, and the
+    exact expected-count bound of its gamma-1 profile, recorded to the bit
+    so that a refactor of the profile or bound code cannot move them."""
+
+    PINNED_STEPS = {
+        1.0: [
+            (1, 0.001051042186737724, 0.0009765625, 7.447968673772406e-05, 0.0, 1.0),
+            (1, 0.002126910935721356, 0.001953125, 0.00017378593572135614, 0.0, 1.0),
+            (1, 0.004278648433688621, 0.00390625, 0.00037239843368862063, 0.0, 1.0),
+            (1, 0.008582123429623148, 0.0078125, 0.0007696234296231486, 0.0, 1.0),
+            (15, 0.01480111982074944, 0.010693603545956124, 0.004107516274793317, 1.0, 1.0),
+            (15, 0.024358009057045903, 0.01357470709191225, 0.010783301965133652, 1.0, 1.0),
+            (1, 0.04028832924843155, 0.026327227315821673, 0.013961101932609882, 1.0, 1.0),
+        ],
+        0.9992: [
+            (1, 0.0010512027762112175, 0.0009765625, 7.46402762112174e-05, 0.0, 1.0),
+            (1, 0.0021272856444928406, 0.001953125, 0.00017416064449284055, 0.0, 1.0),
+            (1, 0.004279451381056087, 0.00390625, 0.00037320138105608727, 0.0, 1.0),
+            (1, 0.00858378285418258, 0.0078125, 0.0007712828541825796, 0.0, 1.0),
+            (15, 0.014610047053939939, 0.010494114918208529, 0.00411593213573141, 1.0, 1.0),
+            (15, 0.02398096053524612, 0.013175729836417053, 0.010805230698829068, 1.0, 1.0),
+            (1, 0.03950628505462406, 0.025516402570783046, 0.013989882483841013, 1.0, 1.0),
+        ],
+    }
+    FINAL_S = (6,) * 14 + (8,) * 18
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    def test_sbp_trace(self, gamma):
+        cm, tables = setup(32, 0.05, gamma=gamma)
+        trace = sbp_optimize(32, 8, cm, 4096, tables)
+        assert [(st.position, st.d_e_g, st.d_cle_g, st.d_cfe_g,
+                 st.varrho_star, st.rho_star)
+                for st in trace.steps] == self.PINNED_STEPS[gamma]
+        assert trace.final_profile.s == self.FINAL_S
+
+    def test_exact_cle_of_final_profile(self):
+        cm, _ = setup(32, 0.05)
+        prof = profile_from_s(32, 8, self.FINAL_S)
+        assert d_cle_m_exact(prof, cm, 4096) == 0.01759931167367981

@@ -22,16 +22,17 @@ class TestProfileFromS:
     def test_pure_random_code(self):
         prof = profile_from_s(4, 4, [4, 4, 4, 4])
         assert prof.arrivals == (1, 1, 1, 1)
-        assert prof.branch_times == (1,)
+        assert prof.levels == (0, 4)
+        assert prof.ends == (0, 4)
         assert prof.num_stages == 1
         assert prof.branch_fanout == (16,)
 
     def test_two_stage_example(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
         assert prof.arrivals == (1, 3)
-        assert prof.branch_times == (1, 3)
+        assert prof.levels == (0, 1, 2)
+        assert prof.ends == (0, 2, 4)
         assert prof.branch_fanout == (2, 2)
-        assert prof.last_same_level == (2, 4)
 
     def test_non_monotone_rejected(self):
         # the drop is observed at t=2, the first offending index
@@ -56,8 +57,23 @@ class TestProfileFromS:
 
     def test_last_bit_arriving_at_n(self):
         prof = profile_from_s(4, 2, [1, 1, 1, 2])
-        assert prof.branch_times == (1, 4)
-        assert prof.last_same_level == (3, 4)
+        assert prof.levels == (0, 1, 2)
+        assert prof.ends == (0, 3, 4)
+
+    @pytest.mark.parametrize("n,k,s", [
+        (4, 2, [1.9, 1.2, 2.7, 2]),
+        (4, 2, [1.0, 1, 2, 2]),
+        (4, 2, [True, 1, 2, 2]),
+        (4, 2, ["1", 1, 2, 2]),
+        (4, 2.0, [1, 1, 2, 2]),
+        (4, True, [1, 1, 1, 1]),
+        ("4", 2, [1, 1, 2, 2]),
+    ], ids=["fractional-s", "float-s", "bool-s", "string-s", "float-k",
+            "bool-k", "string-n"])
+    def test_non_integer_entries_rejected(self, n, k, s):
+        # int() would truncate or coerce each of these into a valid profile
+        with pytest.raises(ProfileError, match="integers"):
+            profile_from_s(n, k, s)
 
 
 class TestProfileFromArrivals:
@@ -98,15 +114,20 @@ class TestDerivedInvariants:
             for c in prof.branch_fanout:
                 prod *= c
             assert prod == 2 ** k
-            # r at branching levels: b_{h+1} - 1 inside, n at the top
-            levels = prof.branch_levels
-            for h in range(prof.num_stages - 1):
-                assert prof.last_same_level[levels[h] - 1] == prof.branch_times[h + 1] - 1
-            assert prof.last_same_level[k - 1] == n
+            # stages against their definitions over s
+            levels = prof.levels
+            assert levels == (0,) + tuple(sorted(set(s)))
+            assert len(prof.ends) == len(levels)
+            for h, level in enumerate(levels):
+                assert prof.ends[h] == max(
+                    (t for t in range(1, n + 1) if s[t - 1] <= level),
+                    default=0)
+            for h, fanout in enumerate(prof.branch_fanout):
+                assert fanout == 2 ** (levels[h + 1] - levels[h])
 
-    def test_stage_end_times(self):
+    def test_stage_ends(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        assert prof.stage_end_times().tolist() == [0, 2, 4]
+        assert prof.ends == (0, 2, 4)
 
 
 class TestGeneratorSampling:
