@@ -79,78 +79,129 @@ class MomentTables:
         self.prefix_abar = np.hstack([zeros, np.cumsum(self.log_moment_abar, axis=1)])
         self.prefix_a = np.hstack([zeros, np.cumsum(self.log_moment_a, axis=1)])
 
-    def matches(self, profile: TreeProfile, cm: CostModel) -> bool:
-        return (self.n == profile.n and self.p == cm.p and self.gamma == cm.gamma)
+
+# Peak bytes of a batched bound evaluation per element of its largest
+# arrays: a (grid point, h, h') term of the computation-limit curve (one
+# float64, 8.7-10.3 B measured at 1e5 to 1e7 terms) or an entry of a
+# candidate's s-vector (the int64 row, its difference and a mask: 16.5 B
+# measured when the rows dominate).
+_BYTES_PER_ELEMENT = 24
+# A batch of profiles is evaluated in sub-batches of at most this many term
+# and s-vector elements together, unless one profile alone has more.
+_BATCH_ELEMENTS = 2 ** 18
+
+
+def batch_rows(n: int, stages: int, points: int) -> int:
+    """How many n-time profiles with `stages` stages one batched evaluation
+    on a grid of `points` takes at a time: as many as fit _BATCH_ELEMENTS,
+    and at least one."""
+    return max(1, _BATCH_ELEMENTS // (points * stages * stages + n))
 
 
 def bound_memory_bytes(n: int, stages: int, points: int) -> int:
-    """Estimated peak memory of MomentTables plus one bound evaluation on a
-    grid of `points`: 64 B per grid point and time for the tables, and 56 B
-    per grid point and (h, h') stage pair for the computation-limit terms
+    """Estimated peak memory of MomentTables plus one batched bound
+    evaluation of profiles with at most `stages` stages on a grid of
+    `points`: 64 B per grid point and time for the tables, and
+    _BYTES_PER_ELEMENT per term and s-vector entry of the largest sub-batch
     (both measured peaks)."""
-    return points * (64 * (n + 1) + 56 * stages * stages)
+    elements = max(points * stages * stages + n, _BATCH_ELEMENTS)
+    return 64 * points * (n + 1) + _BYTES_PER_ELEMENT * elements
 
 
-def _require_match(tables: MomentTables, profile: TreeProfile, cm: CostModel):
-    if not tables.matches(profile, cm):
+def _require_match(tables: MomentTables, n: int, cm: CostModel):
+    if (tables.n, tables.p, tables.gamma) != (n, cm.p, cm.gamma):
         raise ValueError(
             f"moment tables built for (n={tables.n}, p={tables.p}, "
             f"gamma={tables.gamma}) do not match the requested configuration")
 
 
+def _check_limit(limit: float):
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+
+
+def _agreement(levels: np.ndarray):
+    """For each row of `levels` ((B, h_f + 1) stage levels): the probability
+    2^-levels[h] that a competitor agrees through stage h, and the
+    probability that it last agrees at stage h, h = 0..h_f-1."""
+    through = np.exp2(-levels.astype(float))
+    return through, through[:, :-1] - through[:, 1:]
+
+
 def tau_distribution(profile: TreeProfile) -> np.ndarray:
     """Full-depth agreement-stage distribution over h = 0..h_f; the terminal
     entry 2^-k is the probability the competitor equals the message."""
-    lv = np.exp2(-np.asarray(profile.levels, dtype=float))
-    return np.append(lv[:-1] - lv[1:], 2.0 ** -profile.k)
+    _, tau = _agreement(np.array([profile.levels]))
+    return np.append(tau[0], 2.0 ** -profile.k)
 
 
-def _tau_matrix(profile: TreeProfile) -> np.ndarray:
-    """Lower-triangular [h, h'] -> Pr(tau_h = b_h').  Its diagonal is the
-    probability 2^-s(b_h) of agreeing through stage h, which in the h = 0
-    root row is the unit mass the root term carries."""
-    h_f = profile.num_stages
-    tau = np.tril(np.tile(tau_distribution(profile)[:h_f], (h_f, 1)))
-    np.fill_diagonal(tau, np.exp2(-np.asarray(profile.levels[:h_f], dtype=float)))
+def _tau_matrices(levels: np.ndarray) -> np.ndarray:
+    """Lower-triangular [b, h, h'] -> Pr(tau_h = b_h') for each row b of
+    `levels`.  Its diagonal is the probability 2^-s(b_h) of agreeing through
+    stage h, which in the h = 0 root row is the unit mass the root term
+    carries."""
+    through, tau = _agreement(levels)
+    rows, h_f = tau.shape
+    tau = np.tril(np.broadcast_to(tau[:, None, :], (rows, h_f, h_f)))
+    diag = np.arange(h_f)
+    tau[:, diag, diag] = through[:, :-1]
     return tau
 
 
-def _cle_curve(profile: TreeProfile, cm: CostModel, limit: float,
-               tables: MomentTables) -> np.ndarray:
-    """Computation-limit bound evaluated at every grid point."""
-    _require_match(tables, profile, cm)
-    h_f = profile.num_stages
-    rh = np.asarray(profile.ends[:h_f])
-    tau = _tau_matrix(profile)
+def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
+                tables: MomentTables) -> np.ndarray:
+    """Computation-limit bound of each profile at every grid point, (B, G),
+    from the (B, h_f + 1) levels and ends of B profiles with h_f stages."""
+    h_f = levels.shape[1] - 1
+    rh = ends[:, :h_f].T
+    tau = _tau_matrices(levels)
     log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
-    log_v = np.asarray(profile.levels[1:], dtype=float) - math.log2(limit)
+    log_v = levels[:, 1:].astype(float) - math.log2(limit)
 
-    SA = tables.prefix_abar[:, rh]
-    SB = tables.prefix_a[:, rh]
+    # [h, b, g] prefix sums at r_[h]
+    SA = tables.prefix_abar.T[rh]
+    SB = tables.prefix_a.T[rh]
     SB_n = tables.prefix_a[:, -1]
-    # log2 of the (h, h') moment: competitor over (r_[h'], r_[h]],
-    # transmitted path over (r_[h'], n].
-    M = (SA[:, :, None] - SA[:, None, :]) + (SB_n[:, None, None] - SB[:, None, :])
-    log_terms = log_v[None, :, None] + log_tau[None, :, :] \
-        + tables.grid[:, None, None] * M
-    terms = np.exp2(log_terms)
-    # probability-one rows: root (0, 0) and agreeing diagonal (h, h)
+    # [h, h', b, g]: log2 of the (h, h') moment (competitor over
+    # (r_[h'], r_[h]], transmitted path over (r_[h'], n]), then of the term
+    terms = np.empty((h_f, h_f) + SA.shape[1:])
+    np.subtract(SA[:, None], SA[None, :], out=terms)
+    terms += SB_n - SB
+    terms *= tables.grid
+    terms += (log_v[:, :, None] + log_tau).transpose(1, 2, 0)[..., None]
+    np.exp2(terms, out=terms)
+    # probability-one rows: root (0, 0) and agreeing diagonal (h, h); the
+    # terms above the diagonal are exp2(-inf) = 0
     diag = np.arange(h_f)
-    terms[:, diag, diag] = np.exp2(log_v + log_tau[diag, diag])[None, :]
-    mask = np.tril(np.ones((h_f, h_f), dtype=bool))
-    return np.where(mask[None, :, :], terms, 0.0).sum(axis=(1, 2))
+    terms[diag, diag] = np.exp2(log_v + log_tau[:, diag, diag]).T[..., None]
+    # (h, h') are the outer axes, so each (b, g) entry is summed in the same
+    # order, (h, h') row by row, whatever the batch
+    return terms.sum(axis=(0, 1))
 
 
-def _cfe_curve(profile: TreeProfile, cm: CostModel,
-               tables: MomentTables) -> np.ndarray:
-    """Computation-free bound evaluated at every grid point."""
-    _require_match(tables, profile, cm)
-    h_f = profile.num_stages
-    rh = np.asarray(profile.ends[:h_f])
-    log_w = profile.k + np.log2(tau_distribution(profile)[:h_f])
-    S = (tables.prefix_abar[:, -1][:, None] - tables.prefix_abar[:, rh]) \
-        + (tables.prefix_a[:, -1][:, None] - tables.prefix_a[:, rh])
-    return np.exp2(tables.grid[:, None] * (log_w[None, :] + S)).sum(axis=1)
+def _cfe_curves(levels: np.ndarray, ends: np.ndarray, k: int,
+                tables: MomentTables) -> np.ndarray:
+    """Computation-free bound of each profile at every grid point, (B, G),
+    from the (B, h_f + 1) levels and ends of B (n, k) profiles with h_f
+    stages."""
+    rh = ends[:, :-1].T
+    _, tau = _agreement(levels)
+    log_w = k + np.log2(tau.T)
+    abar, a = tables.prefix_abar, tables.prefix_a
+    # [h, b, g], summed over h in order
+    S = (abar[:, -1] - abar.T[rh]) + (a[:, -1] - a.T[rh])
+    return np.exp2(tables.grid * (log_w[..., None] + S)).sum(axis=0)
+
+
+def _grid_minima(curves: np.ndarray, grid: np.ndarray):
+    """Each row's minimum over the grid and the grid value attaining it;
+    ties resolve to the smallest grid value."""
+    i = np.argmin(curves, axis=1)
+    return curves[np.arange(len(curves)), i], grid[i]
+
+
+def _stage_arrays(profile: TreeProfile):
+    return np.array([profile.levels]), np.array([profile.ends])
 
 
 def d_cle_g(profile: TreeProfile, cm: CostModel, limit: float,
@@ -159,18 +210,31 @@ def d_cle_g(profile: TreeProfile, cm: CostModel, limit: float,
 
     Ties resolve to the smallest grid value.
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    curve = _cle_curve(profile, cm, limit, tables)
-    i = int(np.argmin(curve))
-    return float(curve[i]), float(tables.grid[i])
+    _check_limit(limit)
+    _require_match(tables, profile.n, cm)
+    value, varrho = _grid_minima(
+        _cle_curves(*_stage_arrays(profile), limit, tables), tables.grid)
+    return float(value[0]), float(varrho[0])
 
 
 def d_cfe_g(profile: TreeProfile, cm: CostModel, tables: MomentTables):
     """Grid-minimized computation-free bound; returns (value, rho_star)."""
-    curve = _cfe_curve(profile, cm, tables)
-    i = int(np.argmin(curve))
-    return float(curve[i]), float(tables.grid[i])
+    _require_match(tables, profile.n, cm)
+    value, rho = _grid_minima(
+        _cfe_curves(*_stage_arrays(profile), profile.k, tables), tables.grid)
+    return float(value[0]), float(rho[0])
+
+
+def d_e_g_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
+                 limit: float, tables: MomentTables) -> np.ndarray:
+    """d_e_g of each of B (n, k) profiles that share their stage count,
+    given as (B, h_f + 1) levels and ends; equal to the `d_e_g` of each
+    profile evaluated alone."""
+    _check_limit(limit)
+    _require_match(tables, int(ends[0, -1]), cm)
+    cle, _ = _grid_minima(_cle_curves(levels, ends, limit, tables), tables.grid)
+    cfe, _ = _grid_minima(_cfe_curves(levels, ends, k, tables), tables.grid)
+    return cle + cfe
 
 
 @dataclass(frozen=True)
@@ -257,12 +321,11 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
     """
     if cm.gamma != 1.0:
         raise ValueError("exact evaluation requires gamma = 1")
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+    _check_limit(limit)
     n = profile.n
     h_f = profile.num_stages
     r, levels = profile.ends, profile.levels
-    tau = _tau_matrix(profile)
+    tau = _tau_matrices(np.array([profile.levels]))[0]
     P = _binom_order_table(n, cm.p)
     total = 0.0
     for h in range(h_f):

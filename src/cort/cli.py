@@ -227,7 +227,8 @@ def cmd_simulate(args) -> int:
             f"{decodes} decode(s) at once (--threads {args.threads}) could "
             f"need about {est / 1e9:.1f} GB (each holds the suffix tables, "
             f"the largest sibling block and {BYTES_PER_CHECK} bytes per "
-            f"node check); reduce --limit, --threads or the bits per stage")
+            f"node check after the root's); reduce --limit, --threads or the "
+            f"bits per stage")
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,

@@ -85,17 +85,20 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     _CHUNK_ROWS-row chunk of a lazily ordered block) and 32 B per child
     (its float64 costs, plus either the stable argsort or the copy that
     np.partition selects in with the masks and index arrays of a slice).
-    Then BYTES_PER_CHECK per node check.  At the paper's design point
+    Then BYTES_PER_CHECK per node check after the root expansion, whose
+    c_0 children the block term already holds: at most
+    limit - c_0 + max(c_1, ...) of them.  At the paper's design point
     (c_0 = 2^21, 32 root symbols) the largest expansion's traced peak was
     103 MB against 136 MB estimated for the tables and block.
     """
     r = profile.ends
-    shapes = [(fanout, r[h + 1] - r[h])
-              for h, fanout in enumerate(profile.branch_fanout)]
+    fanout = profile.branch_fanout
+    shapes = [(rows, r[h + 1] - r[h]) for h, rows in enumerate(fanout)]
     tables = sum(rows * seg for rows, seg in shapes)
     block = max(10 * min(rows, _CHUNK_ROWS) * seg + 32 * rows
                 for rows, seg in shapes)
-    return tables + block + BYTES_PER_CHECK * int(limit)
+    after_root = int(limit) - fanout[0] + max(fanout[1:], default=0)
+    return tables + block + BYTES_PER_CHECK * max(after_root, 0)
 
 
 def _pack_rows(bits: np.ndarray) -> list:

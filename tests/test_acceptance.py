@@ -17,7 +17,6 @@ from cort import (BscChannel, CostModel, MomentTables, TrialConfig,
 from cort.cli import REFERENCE_LIMITS, REFERENCE_TABLES, table_rows
 from cort.measure import check_aec
 from cort.montecarlo import trial_instances
-from cort.sbp import candidate_sweep
 
 
 def model(p, gamma, n):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cort import cli
+from cort.bounds import bound_memory_bytes
 from cort.cli import main
 from cort.tree_code import load_profile
 
@@ -183,10 +184,10 @@ class TestSimulateCommand:
         assert code == 2
         assert "c_0 = 2^6 = 64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n,s1", [(32, 28), (128, 24)])
+    @pytest.mark.parametrize("n,s1", [(32, 28), (128, 25)])
     def test_wide_root_exceeds_memory(self, tmp_path, capsys, n, s1):
-        # at s(1) = 24 the 2^24 x 128 sibling block, not the node checks,
-        # is what does not fit
+        # at limit c_0 = 2^s1 no check follows the root expansion: the
+        # 2^s1 x n root table (8.6 GB, 4.3 GB) alone is what does not fit
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"n": n, "k": s1, "s": [s1] * n}))
         code = run(tmp_path, "simulate", "--profile", str(path), "--p", "0.05",
@@ -252,6 +253,15 @@ def test_single_grid_point_rejected(tmp_path, capsys, argv):
 def test_grid_beyond_memory_rejected(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--grid-points", "100000000") == 2
     assert "GB" in capsys.readouterr().err
+
+
+def test_sbp_grid_just_beyond_memory_rejected(tmp_path, capsys):
+    # the smallest grid whose estimate at (128, 64) exceeds the ceiling
+    points = next(g for g in range(2, 10 ** 6)
+                  if bound_memory_bytes(128, 64, g) > cli.MEMORY_CEILING)
+    assert run(tmp_path, "sbp", "--n", "128", "--k", "64", "--p", "0.03",
+               "--grid-points", str(points)) == 2
+    assert f"--grid-points {points}" in capsys.readouterr().err
 
 
 class TestValidationLeavesNoPartialFiles:

@@ -258,6 +258,16 @@ class TestMemoryEstimate:
             tracemalloc.stop()
         assert peak <= estimate
 
+    def test_root_children_not_charged_per_check(self):
+        # the block term holds the c_0 root children, and a one-stage
+        # profile checks nothing after the root expansion; charging the
+        # root children per check would alone exceed this estimate
+        prof = pure_random_profile(8, 20)
+        c0 = prof.branch_fanout[0]
+        assert decoder.decode_memory_bytes(prof, c0) \
+            < c0 * decoder.BYTES_PER_CHECK
+
+
 class TestMlConsistency:
     def test_noiseless_case(self):
         prof = pure_random_profile(8, 4)

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cort import (BscChannel, CostModel, MomentTables, candidate_sweep,
-                  d_cle_m_exact, d_e_g, profile_from_s, sbp_optimize)
+                  d_cle_m_exact, d_e_g, profile_from_arrivals, profile_from_s,
+                  sbp_optimize)
+from cort.bounds import batch_rows, bound_memory_bytes
 
 
 def setup(n, p, gamma=1.0, grid_points=10):
@@ -14,28 +17,80 @@ def setup(n, p, gamma=1.0, grid_points=10):
     return cm, tables
 
 
+def suffix_increment(s, j):
+    """Candidate j of a sweep: s + 1 at every (1-based) t >= j."""
+    s = np.asarray(s)
+    return s + (np.arange(1, len(s) + 1) >= j)
+
+
+def scalar_sweep(current, cm, limit, tables):
+    """Each candidate built as a profile and evaluated alone."""
+    return [d_e_g(profile_from_s(current.n, current.k + 1,
+                                 suffix_increment(current.s, j)),
+                  cm, limit, tables).d_e_g
+            for j in range(1, current.n + 1)]
+
+
 class TestCandidateSweep:
     def test_two_position_enumeration(self):
+        # position 1 makes (2, 2), position 2 makes (1, 2)
         cm, tables = setup(2, 0.1)
         current = profile_from_s(2, 1, [1, 1])
         sweep = candidate_sweep(current, cm, 64, tables)
-        assert [j for j, _ in sweep] == [1, 2]
-        assert sweep[0][1].profile.s == (2, 2)
-        assert sweep[1][1].profile.s == (1, 2)
+        assert sweep.shape == (2,)
+        assert sweep[0] == d_e_g(profile_from_s(2, 2, [2, 2]), cm, 64,
+                                 tables).d_e_g
+        assert sweep[1] == d_e_g(profile_from_s(2, 2, [1, 2]), cm, 64,
+                                 tables).d_e_g
 
     def test_all_candidates_distinct(self):
         cm, tables = setup(3, 0.1)
         current = profile_from_s(3, 1, [1, 1, 1])
         sweep = candidate_sweep(current, cm, 64, tables)
         assert len(sweep) == 3
-        assert len({tuple(r.profile.s) for _, r in sweep}) == 3
+        assert len({tuple(suffix_increment(current.s, j))
+                    for j in (1, 2, 3)}) == 3
+        assert len(set(sweep.tolist())) == 3
 
     def test_candidates_carry_incremented_bit_count(self):
+        # each value is that of the (4, 3) profile, not of a (4, 2) one
         cm, tables = setup(4, 0.05)
         current = profile_from_s(4, 2, [1, 1, 2, 2])
-        for _, report in candidate_sweep(current, cm, 64, tables):
-            assert report.profile.k == 3
-            assert report.profile.s[-1] == 3
+        sweep = candidate_sweep(current, cm, 64, tables)
+        assert sweep.tolist() == scalar_sweep(current, cm, 64, tables)
+
+    def test_equals_scalar_evaluation(self):
+        # random profiles (n <= 40), both gammas, grids of 2, 10 and 100
+        # points: each swept value is the candidate's own d_e_g, bit for bit
+        rng = np.random.default_rng(20)
+        for i in range(300):
+            n = int(rng.integers(1, 41))
+            k = int(rng.integers(1, n + 1))
+            arrivals = np.sort(rng.integers(1, n + 1, size=k))
+            arrivals[0] = 1
+            current = profile_from_arrivals(n, arrivals)
+            p = float(rng.choice([0.01, 0.05, 0.1]))
+            cm, tables = setup(n, p, gamma=(1.0, 0.9992)[i % 2],
+                               grid_points=(2, 10, 100)[i % 3])
+            limit = float(rng.choice([16, 1e3, 1e6, 1e9]))
+            sweep = candidate_sweep(current, cm, limit, tables)
+            assert sweep.tolist() == scalar_sweep(current, cm, limit, tables)
+
+    def test_peak_memory_within_estimate(self):
+        # a mid-sweep (128, 33) step on a 200-point grid: its candidates
+        # have 8 or 9 stages, and one batch of all 128 would hold more than
+        # twice the estimate
+        cm, tables = setup(128, 0.05, grid_points=200)
+        current = sbp_optimize(128, 32, cm, 64, tables).final_profile
+        stages = current.num_stages + 1
+        assert batch_rows(128, stages, 200) < 128
+        tracemalloc.start()
+        try:
+            candidate_sweep(current, cm, 64, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_memory_bytes(128, stages, 200)
 
 
 class TestSbpOptimize:
@@ -79,8 +134,10 @@ class TestSbpOptimize:
         profile = profile_from_s(12, 1, [1] * 12)
         for step in trace.steps:
             sweep = candidate_sweep(profile, cm, 128, tables)
-            assert all(step.d_e_g <= r.d_e_g + 1e-18 for _, r in sweep)
-            profile = next(r.profile for j, r in sweep if j == step.position)
+            assert step.d_e_g == sweep[step.position - 1] == sweep.min()
+            assert step.position - 1 == np.flatnonzero(sweep == sweep.min())[0]
+            profile = profile_from_s(
+                12, profile.k + 1, suffix_increment(profile.s, step.position))
         assert profile == trace.final_profile
 
     def test_deterministic(self):
