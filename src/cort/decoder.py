@@ -18,14 +18,34 @@ by (cost, prefix); the heap holds one cursor per expanded parent, keyed by
 that parent's cheapest unpopped child, and popping a child advances its
 cursor to the next sibling.  The pops are exactly those of a heap holding
 every checked node, while the heap holds at most one entry per expanded
-node.  A block of up to 4096 children is fully sorted.  A wider one (the
-2^21-child root at the paper's design point) is costed in row chunks and
-ordered in slices: the cheapest 256 children with all their ties, then the
-next 512, and so on, each taken only when the cursor runs out, since a
-decode pops only a few children of a wide block.
+node.  A cursor walks a page of (cost, index) pairs of Python numbers; how
+a block is costed and ordered depends on its width:
+
+- Narrow (at most 16 children, so every fanout-2 stage): the children's
+  segment costs come from one numpy product as Python floats, are added to
+  the parent's cost in Python and sorted as pairs, the whole block one page.
+  Within a decode the segment costs depend only on the parent's output bits
+  on the segment, so they are memoized per stage, keyed on those bits, when
+  the segment has at most 8 symbols.  The memo lives in one decode call:
+  trials that share a generator do not share a received word.
+- Sorted (17 to 4096 children): costed in one product and fully argsorted
+  by numpy; pages of 4 pairs are cut from the order as the cursor reaches
+  them.
+- Lazy slices (more than 4096, such as the 2^21-child root at the paper's
+  design point): costed in row chunks and ordered in slices, the cheapest
+  256 children with all their ties, then the next 512, and so on, each
+  taken only when the cursor runs out, since a decode pops only a few
+  children of a wide block.
+
+Each way gives the same costs to the bit (Python's float addition is the
+IEEE addition numpy does) and the same order as a stable argsort.
+
 Prefixes are packed into Python ints with the first message bit most
 significant, so at equal depth integer order is lexicographic order; they
-are unpacked to tuples only for the result and trace records.
+are unpacked to tuples only for the result and trace records.  The
+generator's rows are packed the same way once per decode; a parent's
+output bit on a segment row is the parity of its prefix ANDed with that
+row shifted down to the prefix's length.
 """
 
 from __future__ import annotations
@@ -39,11 +59,12 @@ from .measure import CostModel
 from .tree_code import GeneratorMatrix, TreeProfile
 
 # Peak memory a decode holds per checked node, measured as peak RSS growth
-# over 4e5 checks on a fanout-2 staircase that gives up (216 to 219 B).
+# over 4e5 checks on a fanout-2 staircase that gives up (184 to 205 B).
 # Fanout 2 is the worst case: each expansion keeps a heap entry, a cursor
-# and two small arrays for only two children; wide stages need 8 to 16 B a
-# child.
-BYTES_PER_CHECK = 224
+# and a page of (cost, index) pairs for only two children.  Measured the
+# same way, 4- to 16-child blocks need 183 to 126 B a check, 32-child ones
+# 52 B and 1024-child ones 17 B.
+BYTES_PER_CHECK = 208
 
 # A sibling block of more than _CHUNK_ROWS children is costed one
 # _CHUNK_ROWS-row chunk at a time and ordered in slices, the first of the
@@ -51,6 +72,17 @@ BYTES_PER_CHECK = 224
 # in one product and fully sorted, which is faster at its size.
 _CHUNK_ROWS = 4096
 _FIRST_SLICE = 256
+# A block of at most _NARROW children is ordered as one sorted list of
+# (cost, index) pairs of Python numbers, which at its size is faster than
+# numpy's per-call overhead.  A wider block's numpy order is converted
+# _PAGE pairs at a time as its cursor reaches them, which holds less than
+# longer pages while the cursor waits on the heap.  A narrow block's
+# segment costs are memoized per decode, keyed on the parent's output bits,
+# when the segment has at most _MEMO_SYMBOLS symbols, so that its memo
+# holds at most 2^_MEMO_SYMBOLS entries.
+_NARROW = 16
+_PAGE = 4
+_MEMO_SYMBOLS = 8
 # Suffix tables are XOR-doubled _FLAT_ROWS rows at a time as one flat row
 # once they are that tall, so that numpy's inner loop is long.
 _FLAT_ROWS = 1024
@@ -80,32 +112,46 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     """Estimated peak memory of one decode, in bytes.
 
     Every stage's suffix-output table is held, at 1 B per child and output
-    symbol.  On top, the largest expansion holds 10 B per entry of the rows
-    it costs in one product (the mismatch mask and its float64 copy; a
-    _CHUNK_ROWS-row chunk of a lazily ordered block) and 32 B per child
-    (its float64 costs, plus either the stable argsort or the copy that
-    np.partition selects in with the masks and index arrays of a slice).
-    Then BYTES_PER_CHECK per node check after the root expansion, whose
-    c_0 children the block term already holds: at most
-    limit - c_0 + max(c_1, ...) of them.  At the paper's design point
-    (c_0 = 2^21, 32 root symbols) the largest expansion's traced peak was
-    103 MB against 136 MB estimated for the tables and block.
+    symbol, and so is every segment-cost memo, at most 2^(segment length)
+    entries of about 264 B plus 88 B per child.  On top, the largest
+    expansion holds 10 B per entry of the rows it costs in one product (the
+    mismatch mask and its float64 copy; a _CHUNK_ROWS-row chunk of a lazily
+    ordered block) and 32 B per child (its float64 costs, plus either the
+    stable argsort or the copy that np.partition selects in with the masks
+    and index arrays of a slice).  Then BYTES_PER_CHECK per node check
+    after the root expansion, whose c_0 children the block term already
+    holds: at most limit - c_0 + max(c_1, ...) of them, and none when the
+    root's children are terminal (one stage), since the decode returns at
+    the first pop.  At the paper's design point (c_0 = 2^21, 32 root
+    symbols) the largest expansion's traced peak was 103 MB against 136 MB
+    estimated for the tables and block.
     """
     r = profile.ends
     fanout = profile.branch_fanout
     shapes = [(rows, r[h + 1] - r[h]) for h, rows in enumerate(fanout)]
     tables = sum(rows * seg for rows, seg in shapes)
+    memos = sum((1 << seg) * (264 + 88 * rows) for rows, seg in shapes
+                if rows <= _NARROW and seg <= _MEMO_SYMBOLS)
     block = max(10 * min(rows, _CHUNK_ROWS) * seg + 32 * rows
                 for rows, seg in shapes)
-    after_root = int(limit) - fanout[0] + max(fanout[1:], default=0)
-    return tables + block + BYTES_PER_CHECK * max(after_root, 0)
+    after_root = (int(limit) - fanout[0] + max(fanout[1:])
+                  if len(fanout) > 1 else 0)
+    return tables + memos + block + BYTES_PER_CHECK * max(after_root, 0)
 
 
 def _pack_rows(bits: np.ndarray) -> list:
-    """Each row of a 0/1 matrix as an int, first column most significant."""
-    packed = np.packbits(bits, axis=1)
-    pad = 8 * packed.shape[1] - bits.shape[1]
-    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+    """Each row of a 0/1 matrix with at least one column as an int, first
+    column most significant: 64 columns at a time by an exact integer
+    product with their place values."""
+    rows = None
+    for lo in range(0, bits.shape[1], 64):
+        chunk = bits[:, lo:lo + 64]
+        width = chunk.shape[1]
+        place = np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)
+        words = (chunk @ place).tolist()
+        rows = words if rows is None else [(row << width) | word
+                                           for row, word in zip(rows, words)]
+    return rows
 
 
 def _unpack(prefix: int, depth: int) -> tuple:
@@ -114,15 +160,18 @@ def _unpack(prefix: int, depth: int) -> tuple:
 
 
 def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
-                 lo: int, hi: int, level: int, next_level: int):
+                 packed: list, lo: int, hi: int, level: int,
+                 next_level: int):
     """What expanding a node at prefix length `level` needs.
 
     Its children append every suffix of width w = next_level - level and
     add the cost of output segment (lo, hi].  Returns the segment's outputs
     for all 2^w suffixes as a (2^w, hi - lo) table, suffix i in row i (its
     first bit most significant), built in place by XOR-doubling the suffix
-    columns; the parent columns' rows packed as ints; the segment of y; and
-    its per-symbol costs.
+    columns; the parent columns' rows packed as ints, cut from the
+    generator's rows `packed` once per decode; the segment of y; its
+    per-symbol costs; and the block's segment-cost memo, a dict when the
+    block is narrow and its segment at most _MEMO_SYMBOLS long, else None.
     """
     seg = hi - lo
     table = np.empty((1 << (next_level - level), seg), dtype=np.uint8)
@@ -137,8 +186,10 @@ def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
                            np.tile(col, _FLAT_ROWS),
                            out=table[m:2 * m].reshape(-1, flat))
         m *= 2
-    return (table, _pack_rows(g.bits[lo:hi, :level]), y[lo:hi],
-            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float))
+    shift = g.profile.k - level
+    memo = {} if len(table) <= _NARROW and seg <= _MEMO_SYMBOLS else None
+    return (table, [row >> shift for row in packed[lo:hi]], y[lo:hi],
+            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float), memo)
 
 
 def _chunked_costs(table: np.ndarray, target: np.ndarray,
@@ -183,6 +234,21 @@ def _next_slice(costs: np.ndarray, above: float | None, size: int):
     return order, ((cut, 2 * size) if len(order) < len(rest) else None)
 
 
+def _next_page(more: list) -> list:
+    """The next page of a wide sibling block, at most _PAGE (cost, index)
+    pairs, from its cursor state [costs, ordered indices, position in them,
+    next slice's (above, size) or None]; empty when no child is left."""
+    costs, order, a, rest = more
+    if a == len(order):
+        if rest is None:
+            return []
+        order, rest = _next_slice(costs, *rest)
+        more[1], more[3], a = order, rest, 0
+    page = order[a:a + _PAGE]
+    more[2] = a + len(page)
+    return list(zip(costs[page].tolist(), page.tolist()))
+
+
 def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
                  trace: list | None = None) -> DecodeOutcome:
     """Run the give-up stack decoder on one received word.
@@ -207,30 +273,44 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     k = prof.k
     levels, r = prof.levels, prof.ends
     fanout = prof.branch_fanout
+    packed = _pack_rows(g.bits)
     blocks = [None] * prof.num_stages
     heap = []
 
     def expand(prefix: int, stage: int, cost: float) -> None:
         """Check the children of a stage-`stage` node and push its cursor
-        [costs, ordered slice, next position, children's prefix base,
-        next slice's (above, size) or None]."""
+        [page of (cost, index) pairs, next position in it, children's
+        prefix base, a wide block's state for _next_page or None]."""
         if blocks[stage] is None:
-            blocks[stage] = _stage_block(g, cm, y, r[stage], r[stage + 1],
-                                         levels[stage], levels[stage + 1])
-        table, parent_rows, y_seg, weights = blocks[stage]
+            blocks[stage] = _stage_block(g, cm, y, packed, r[stage],
+                                         r[stage + 1], levels[stage],
+                                         levels[stage + 1])
+        table, parent_rows, y_seg, weights, memo = blocks[stage]
         parent_out = [(row & prefix).bit_count() & 1 for row in parent_rows]
-        target = y_seg ^ np.array(parent_out, dtype=np.uint8)
-        if len(table) > _CHUNK_ROWS:
-            costs = _chunked_costs(table, target, weights, cost)
-            order, rest = _next_slice(costs, None, _FIRST_SLICE)
+        if len(table) <= _NARROW:
+            key = tuple(parent_out)
+            seg = None if memo is None else memo.get(key)
+            if seg is None:
+                target = y_seg ^ np.array(parent_out, dtype=np.uint8)
+                seg = list(enumerate(((table != target) @ weights).tolist()))
+                if memo is not None:
+                    memo[key] = seg
+            page = sorted([(cost + s, i) for i, s in seg])
+            more = None
         else:
-            costs = cost + (table != target) @ weights
-            order, rest = costs.argsort(kind="stable"), None
-        first = order.item(0)
+            target = y_seg ^ np.array(parent_out, dtype=np.uint8)
+            if len(table) > _CHUNK_ROWS:
+                costs = _chunked_costs(table, target, weights, cost)
+                order, rest = _next_slice(costs, None, _FIRST_SLICE)
+            else:
+                costs = cost + (table != target) @ weights
+                order, rest = costs.argsort(kind="stable"), None
+            more = [costs, order, 0, rest]
+            page = _next_page(more)
+        first_cost, first = page[0]
         base = prefix << (levels[stage + 1] - levels[stage])
-        heapq.heappush(heap, (costs.item(first), -levels[stage + 1],
-                              base | first, stage + 1,
-                              [costs, order, 1, base, rest]))
+        heapq.heappush(heap, (first_cost, -levels[stage + 1], base | first,
+                              stage + 1, [page, 1, base, more]))
 
     expand(0, 0, 0.0)
     nodes_checked = max_stack = c0
@@ -247,14 +327,14 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             return DecodeOutcome(result=_unpack(prefix, k),
                                  nodes_checked=nodes_checked,
                                  max_stack_size=max_stack)
-        costs, order, j, base, rest = cursor
-        if j == len(order) and rest is not None:
-            order, cursor[4] = _next_slice(costs, *rest)
-            cursor[1], j = order, 0
-        if j < len(order):
-            i = order.item(j)
-            cursor[2] = j + 1
-            heapq.heappush(heap, (costs.item(i), neg_depth, base | i, stage,
+        page, j, base, more = cursor
+        if j == len(page) and more is not None:
+            page = cursor[0] = _next_page(more)
+            j = 0
+        if j < len(page):
+            child_cost, i = page[j]
+            cursor[1] = j + 1
+            heapq.heappush(heap, (child_cost, neg_depth, base | i, stage,
                                   cursor))
         expand(prefix, stage, cost)
         nodes_checked += fanout[stage]

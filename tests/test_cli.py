@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cort import cli
+from cort import cli, decoder
 from cort.bounds import bound_memory_bytes
 from cort.cli import main
 from cort.tree_code import load_profile
@@ -17,6 +17,14 @@ from cort.tree_code import load_profile
 
 def run(tmp_path, *argv):
     return main(["--results-dir", str(tmp_path / "results"), *argv])
+
+
+def two_stage(tmp_path) -> str:
+    """A profile file for (8, 3) with fanouts 2 and 4: every decode ends
+    within 10 node checks, but its estimate grows with --limit."""
+    path = tmp_path / "two-stage.json"
+    path.write_text(json.dumps({"n": 8, "k": 3, "s": [1] * 4 + [3] * 4}))
+    return str(path)
 
 
 class TestBoundCommand:
@@ -157,10 +165,11 @@ class TestSimulateCommand:
         assert "trials" in capsys.readouterr().err
 
     def test_infeasible_limit_reports_memory(self, tmp_path, capsys):
-        code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
-                   "--k", "3", "--p", "0.05", "--trials", "10",
-                   "--limit", "1000000000")
-        assert code != 0
+        # the node checks after the root expansion alone exceed the ceiling
+        limit = int(cli.MEMORY_CEILING // decoder.BYTES_PER_CHECK) + 1
+        code = run(tmp_path, "simulate", "--profile", two_stage(tmp_path),
+                   "--p", "0.05", "--trials", "10", "--limit", str(limit))
+        assert code == 2
         assert "GB" in capsys.readouterr().err
 
     def test_zero_k_usage_error(self, tmp_path, capsys):
@@ -170,9 +179,10 @@ class TestSimulateCommand:
         assert "k >= 1" in capsys.readouterr().err
 
     def test_memory_guard_counts_workers(self, tmp_path, capsys):
-        # about 1.5 GB per decode: one fits under the ceiling, four do not
-        argv = ["simulate", "--profile", "pure", "--n", "8", "--k", "3",
-                "--p", "0.05", "--trials", "64", "--limit", "6700000"]
+        # 40% of the ceiling per decode: one fits under it, four do not
+        limit = int(0.4 * cli.MEMORY_CEILING / decoder.BYTES_PER_CHECK)
+        argv = ["simulate", "--profile", two_stage(tmp_path), "--p", "0.05",
+                "--trials", "64", "--limit", str(limit)]
         assert run(tmp_path, *argv, "--threads", "4") == 2
         assert "--threads 4" in capsys.readouterr().err
         assert run(tmp_path, *argv, "--threads", "1") == 0

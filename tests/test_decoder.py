@@ -237,6 +237,43 @@ class TestMatchesEagerReference:
         assert past_first_slice > 0
 
 
+    # multi-symbol segments on every narrow stage; stage 5 has exactly
+    # decoder._NARROW = 16 children and stage 7 twice as many, the first
+    # block costed and ordered by numpy
+    NARROW = profile_from_arrivals(
+        40, [1, 1, 4, 7, 7, 10] + [13] * 4 + [17] + [20] * 5
+        + [24, 27, 27, 30, 34, 37])
+
+    def test_narrow_blocks(self):
+        prof = self.NARROW
+        assert decoder._NARROW in prof.branch_fanout
+        assert 2 * decoder._NARROW in prof.branch_fanout
+        cm = model(p=0.05, gamma=0.9992, n=prof.n)
+        seeds, limit = 150, 600
+        giveups = 0
+        for seed in range(seeds):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, limit, trace=expected_trace)
+            assert ssdgu_decode(g, y, cm, limit, trace=trace) == expected
+            assert trace == expected_trace
+            giveups += expected.gave_up
+        assert 0 < giveups < seeds
+
+    def test_one_generator_many_words(self):
+        # as in simulate with resample_code off: segment costs memoized in
+        # one decode must not reach the next decode with the same generator
+        prof = self.NARROW
+        cm = model(p=0.05, gamma=0.9992, n=prof.n)
+        g = sample_generator(prof, 3)
+        for seed in range(40):
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, 600, trace=expected_trace)
+            assert ssdgu_decode(g, y, cm, 600, trace=trace) == expected
+            assert trace == expected_trace
+
 
 class TestMemoryEstimate:
     def test_covers_traced_peak_at_root_limit(self):
@@ -257,6 +294,31 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= estimate
+
+    def test_one_stage_estimate_ignores_limit(self):
+        # a one-stage decode pops a terminal root child first and checks
+        # nothing after the root expansion, whatever the limit
+        prof = pure_random_profile(8, 3)
+        assert decoder.decode_memory_bytes(prof, prof.branch_fanout[0]) \
+            == decoder.decode_memory_bytes(prof, 10 ** 9)
+
+    def test_covers_traced_peak_of_fanout2_giveup(self):
+        # fanout 2 holds the most per check; a decode that gives up holds
+        # every cursor it pushed until the end
+        prof = profile_from_arrivals(128, [1 + (3 * j) // 2 for j in range(64)])
+        assert set(prof.branch_fanout) == {2}
+        cm = model(p=0.1, gamma=1.0, n=prof.n)
+        g = sample_generator(prof, 0)
+        y = transmit(cm.channel, encode(g, draw_message(prof.k, 0)), 0)
+        limit = 50000
+        tracemalloc.start()
+        try:
+            out = ssdgu_decode(g, y, cm, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.gave_up
+        assert peak <= decoder.decode_memory_bytes(prof, limit)
 
     def test_root_children_not_charged_per_check(self):
         # the block term holds the c_0 root children, and a one-stage
