@@ -80,8 +80,15 @@ def write_run_record(args, command: str, parameters: dict, payload: dict) -> str
     stamp = time.strftime("%Y%m%dT%H%M%S")
     digest = hashlib.sha256(
         json.dumps(parameters, sort_keys=True).encode()).hexdigest()[:8]
-    outdir = os.path.join(base, command, f"{stamp}-{digest}")
-    os.makedirs(outdir, exist_ok=True)
+    name = outdir = os.path.join(base, command, f"{stamp}-{digest}")
+    copies = 1
+    while True:  # a rerun in the same second gets its own directory
+        try:
+            os.makedirs(outdir)
+            break
+        except FileExistsError:
+            copies += 1
+            outdir = f"{name}-{copies}"
     record = RunRecord(command=command, parameters=parameters, timestamp=stamp,
                        version=__version__, payload=payload,
                        output_path=outdir)
@@ -156,15 +163,22 @@ def cmd_bound(args) -> int:
     rcu = rcu_exact_bsc(prof.n, prof.k, args.p) if prof.n <= 512 else None
     gallager = gallager_reference_bsc(prof.n, prof.k, args.p,
                                       chernoff_grid(args.grid_points))
+    payload = report.to_json_dict()
+    payload["rcu_exact"] = rcu
+    payload["gallager_reference"] = gallager
+    overflowed = [name for name, value in payload.items()
+                  if isinstance(value, float) and not math.isfinite(value)]
+    if overflowed:
+        raise CliError(
+            f"{', '.join(overflowed)} not finite at n = {prof.n}, k = {prof.k}, "
+            f"--limit {args.limit}: a term exceeds the floating-point range; "
+            f"raise --limit or use fewer bits per stage")
     print(f"d_cle_g   = {report.d_cle_g:.3e}   (varrho* = {report.varrho_star:.4f})")
     print(f"d_cfe_g   = {report.d_cfe_g:.3e}   (rho*    = {report.rho_star:.4f})")
     print(f"d_e_g     = {report.d_e_g:.3e}")
     if rcu is not None:
         print(f"rcu       = {rcu:.3e}   (gamma=1 log-likelihood reference)")
     print(f"gallager  = {gallager:.3e}   (gamma=1 reference)")
-    payload = report.to_json_dict()
-    payload["rcu_exact"] = rcu
-    payload["gallager_reference"] = gallager
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -220,6 +234,10 @@ def cmd_simulate(args) -> int:
         raise CliError(
             f"--limit {args.limit} is below the root fanout c_0 = 2^{prof.s[0]} "
             f"= {c0}; the decoder checks every root child first")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise CliError(f"--threads must be between 1 and the {cpus} CPUs "
+                       f"of this machine, got {args.threads}")
     decodes = len(trial_spans(args.trials, args.threads))
     est = decodes * decode_memory_bytes(prof, args.limit)
     if est > MEMORY_CEILING:

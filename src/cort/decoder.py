@@ -14,28 +14,29 @@ that runs are deterministic and terminals win cost ties.
 
 The stack is kept in sorted-successor form (Jelinek 1969; Zigangirov 1966).
 Expanding a node computes its children's costs as one block and orders them
-by (cost, prefix); the heap holds one cursor per expanded parent, keyed by
-that parent's cheapest unpopped child, and popping a child advances its
-cursor to the next sibling.  The pops are exactly those of a heap holding
+by (cost, prefix); the heap holds one entry per expanded parent, its
+cheapest unpopped child with an iterator of the remaining children as
+(cost, index) pairs of Python numbers, and popping a child pushes the next
+pair the iterator yields.  The pops are exactly those of a heap holding
 every checked node, while the heap holds at most one entry per expanded
-node.  A cursor walks a page of (cost, index) pairs of Python numbers; how
-a block is costed and ordered depends on its width:
+node.  How a block is costed and ordered depends on its width; the pop
+loop sees only the iterator:
 
 - Narrow (at most 16 children, so every fanout-2 stage): the children's
   segment costs come from one numpy product as Python floats, are added to
-  the parent's cost in Python and sorted as pairs, the whole block one page.
+  the parent's cost in Python and sorted as pairs, iterated as one list.
   Within a decode the segment costs depend only on the parent's output bits
   on the segment, so they are memoized per stage, keyed on those bits, when
   the segment has at most 8 symbols.  The memo lives in one decode call:
   trials that share a generator do not share a received word.
 - Sorted (17 to 4096 children): costed in one product and fully argsorted
-  by numpy; pages of 4 pairs are cut from the order as the cursor reaches
-  them.
+  by numpy; a generator converts the order to pairs 4 at a time as they
+  are reached.
 - Lazy slices (more than 4096, such as the 2^21-child root at the paper's
   design point): costed in row chunks and ordered in slices, the cheapest
   256 children with all their ties, then the next 512, and so on, each
-  taken only when the cursor runs out, since a decode pops only a few
-  children of a wide block.
+  taken only when the generator runs out of the previous one, since a
+  decode pops only a few children of a wide block.
 
 Each way gives the same costs to the bit (Python's float addition is the
 IEEE addition numpy does) and the same order as a stable argsort.
@@ -59,11 +60,11 @@ from .measure import CostModel
 from .tree_code import GeneratorMatrix, TreeProfile
 
 # Peak memory a decode holds per checked node, measured as peak RSS growth
-# over 4e5 checks on a fanout-2 staircase that gives up (184 to 205 B).
-# Fanout 2 is the worst case: each expansion keeps a heap entry, a cursor
-# and a page of (cost, index) pairs for only two children.  Measured the
-# same way, 4- to 16-child blocks need 183 to 126 B a check, 32-child ones
-# 52 B and 1024-child ones 17 B.
+# over 4e5 checks on a fanout-2 staircase that gives up (171 to 185 B).
+# Fanout 2 is the worst case: each expansion keeps a heap entry and an
+# iterator over a list of (cost, index) pairs for only two children.
+# Measured the same way, 4- to 16-child blocks need 176 to 127 B a check,
+# 32-child ones 63 B and 1024-child ones 17 B.
 BYTES_PER_CHECK = 208
 
 # A sibling block of more than _CHUNK_ROWS children is costed one
@@ -75,8 +76,8 @@ _FIRST_SLICE = 256
 # A block of at most _NARROW children is ordered as one sorted list of
 # (cost, index) pairs of Python numbers, which at its size is faster than
 # numpy's per-call overhead.  A wider block's numpy order is converted
-# _PAGE pairs at a time as its cursor reaches them, which holds less than
-# longer pages while the cursor waits on the heap.  A narrow block's
+# _PAGE pairs at a time as they are reached, which holds less than longer
+# pages while its iterator waits on the heap.  A narrow block's
 # segment costs are memoized per decode, keyed on the parent's output bits,
 # when the segment has at most _MEMO_SYMBOLS symbols, so that its memo
 # holds at most 2^_MEMO_SYMBOLS entries.
@@ -234,19 +235,17 @@ def _next_slice(costs: np.ndarray, above: float | None, size: int):
     return order, ((cut, 2 * size) if len(order) < len(rest) else None)
 
 
-def _next_page(more: list) -> list:
-    """The next page of a wide sibling block, at most _PAGE (cost, index)
-    pairs, from its cursor state [costs, ordered indices, position in them,
-    next slice's (above, size) or None]; empty when no child is left."""
-    costs, order, a, rest = more
-    if a == len(order):
+def _wide_successors(costs: np.ndarray, order: np.ndarray, rest):
+    """A wide sibling block's (cost, index) pairs in stable (cost, index)
+    order: `order`, then while `rest` is not None the slices _next_slice
+    takes from its (above, size), each converted _PAGE pairs at a time."""
+    while True:
+        for a in range(0, len(order), _PAGE):
+            page = order[a:a + _PAGE]
+            yield from zip(costs[page].tolist(), page.tolist())
         if rest is None:
-            return []
+            return
         order, rest = _next_slice(costs, *rest)
-        more[1], more[3], a = order, rest, 0
-    page = order[a:a + _PAGE]
-    more[2] = a + len(page)
-    return list(zip(costs[page].tolist(), page.tolist()))
 
 
 def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
@@ -278,9 +277,9 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     heap = []
 
     def expand(prefix: int, stage: int, cost: float) -> None:
-        """Check the children of a stage-`stage` node and push its cursor
-        [page of (cost, index) pairs, next position in it, children's
-        prefix base, a wide block's state for _next_page or None]."""
+        """Check the children of a stage-`stage` node and push its cheapest
+        child with the children's prefix base and an iterator of the rest
+        as (cost, index) pairs, cheapest first."""
         if blocks[stage] is None:
             blocks[stage] = _stage_block(g, cm, y, packed, r[stage],
                                          r[stage + 1], levels[stage],
@@ -295,8 +294,7 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
                 seg = list(enumerate(((table != target) @ weights).tolist()))
                 if memo is not None:
                     memo[key] = seg
-            page = sorted([(cost + s, i) for i, s in seg])
-            more = None
+            successors = iter(sorted([(cost + s, i) for i, s in seg]))
         else:
             target = y_seg ^ np.array(parent_out, dtype=np.uint8)
             if len(table) > _CHUNK_ROWS:
@@ -305,18 +303,17 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             else:
                 costs = cost + (table != target) @ weights
                 order, rest = costs.argsort(kind="stable"), None
-            more = [costs, order, 0, rest]
-            page = _next_page(more)
-        first_cost, first = page[0]
+            successors = _wide_successors(costs, order, rest)
+        first_cost, first = next(successors)
         base = prefix << (levels[stage + 1] - levels[stage])
         heapq.heappush(heap, (first_cost, -levels[stage + 1], base | first,
-                              stage + 1, [page, 1, base, more]))
+                              stage + 1, base, successors))
 
     expand(0, 0, 0.0)
     nodes_checked = max_stack = c0
     pops = 0
     while nodes_checked <= limit:
-        cost, neg_depth, prefix, stage, cursor = heapq.heappop(heap)
+        cost, neg_depth, prefix, stage, base, successors = heapq.heappop(heap)
         pops += 1
         if trace is not None:
             trace.append({"iteration": pops,
@@ -327,15 +324,10 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             return DecodeOutcome(result=_unpack(prefix, k),
                                  nodes_checked=nodes_checked,
                                  max_stack_size=max_stack)
-        page, j, base, more = cursor
-        if j == len(page) and more is not None:
-            page = cursor[0] = _next_page(more)
-            j = 0
-        if j < len(page):
-            child_cost, i = page[j]
-            cursor[1] = j + 1
-            heapq.heappush(heap, (child_cost, neg_depth, base | i, stage,
-                                  cursor))
+        sibling = next(successors, None)
+        if sibling is not None:
+            heapq.heappush(heap, (sibling[0], neg_depth, base | sibling[1],
+                                  stage, base, successors))
         expand(prefix, stage, cost)
         nodes_checked += fanout[stage]
         max_stack = max(max_stack, nodes_checked - pops)

@@ -104,6 +104,30 @@ class TestBoundCommand:
         assert doc["command"] == "bound"
         assert doc["parameters"]["p"] == 0.1
 
+    def test_same_second_reruns_keep_both_records(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli.time, "strftime",
+                            lambda fmt: "20260101T000000")
+        argv = ["bound", "--profile", "pure", "--n", "8", "--k", "4",
+                "--p", "0.1"]
+        assert run(tmp_path, *argv) == 0
+        assert run(tmp_path, *argv) == 0
+        records = list((tmp_path / "results" / "bound").iterdir())
+        assert len(records) == 2
+        for record in records:
+            doc = json.loads((record / "record.json").read_text())
+            assert doc["output_path"] == str(record)
+
+    def test_overflowing_bound_rejected(self, tmp_path, capsys):
+        # the root term 2^k / L exceeds the largest float at k = 1100
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "bound", "--profile", "pure", "--n", "1100",
+                   "--k", "1100", "--p", "0.4", "--limit", "100",
+                   "--out", str(out)) == 2
+        assert "d_cle_g, d_e_g not finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "results").exists()
+
 
 class TestSbpCommand:
     def test_emits_profile_and_trace(self, tmp_path):
@@ -178,14 +202,33 @@ class TestSimulateCommand:
         assert code == 2
         assert "k >= 1" in capsys.readouterr().err
 
-    def test_memory_guard_counts_workers(self, tmp_path, capsys):
-        # 40% of the ceiling per decode: one fits under it, four do not
+    def test_memory_guard_counts_workers(self, tmp_path, capsys,
+                                         monkeypatch):
+        # 40% of the ceiling per decode: one fits under it, four do not,
+        # on a machine with CPUs enough for four workers
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         limit = int(0.4 * cli.MEMORY_CEILING / decoder.BYTES_PER_CHECK)
         argv = ["simulate", "--profile", two_stage(tmp_path), "--p", "0.05",
                 "--trials", "64", "--limit", str(limit)]
         assert run(tmp_path, *argv, "--threads", "4") == 2
-        assert "--threads 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--threads 4" in err and "GB" in err
         assert run(tmp_path, *argv, "--threads", "1") == 0
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "5", "10000"])
+    def test_threads_outside_cpu_count(self, tmp_path, capsys, monkeypatch,
+                                       threads):
+        def unstarted(config, workers):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "simulate", unstarted)
+        assert run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
+                   "--k", "3", "--p", "0.05", "--trials", "10000",
+                   "--threads", threads) == 2
+        assert "--threads must be between 1 and the 4 CPUs" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_limit_below_root_fanout(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -237,6 +238,30 @@ class TestMatchesEagerReference:
         assert past_first_slice > 0
 
 
+    # stage 1 has 64 children on a 2-symbol segment, so they share at most
+    # four costs and at p = 0.2 many decodes pop every child of such a
+    # numpy-ordered block before a terminal
+    DRAINED = profile_from_s(24, 8, [1] + [7] * 2 + [8] * 21)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    def test_drained_wide_block(self, gamma):
+        prof = self.DRAINED
+        assert prof.branch_fanout[1] == 4 * decoder._NARROW
+        cm = model(p=0.2, gamma=gamma, n=prof.n)
+        seeds, limit = 30, 1000
+        drained = 0
+        for seed in range(seeds):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, limit, trace=expected_trace)
+            assert ssdgu_decode(g, y, cm, limit, trace=trace) == expected
+            assert trace == expected_trace
+            popped = Counter(record["prefix"][:1] for record in trace
+                             if record["stage"] == 2)
+            drained += prof.branch_fanout[1] in popped.values()
+        assert drained > 0
+
     # multi-symbol segments on every narrow stage; stage 5 has exactly
     # decoder._NARROW = 16 children and stage 7 twice as many, the first
     # block costed and ordered by numpy
@@ -304,7 +329,7 @@ class TestMemoryEstimate:
 
     def test_covers_traced_peak_of_fanout2_giveup(self):
         # fanout 2 holds the most per check; a decode that gives up holds
-        # every cursor it pushed until the end
+        # every heap entry it pushed until the end
         prof = profile_from_arrivals(128, [1 + (3 * j) // 2 for j in range(64)])
         assert set(prof.branch_fanout) == {2}
         cm = model(p=0.1, gamma=1.0, n=prof.n)
