@@ -80,31 +80,40 @@ class MomentTables:
         self.prefix_a = np.hstack([zeros, np.cumsum(self.log_moment_a, axis=1)])
 
 
-# Peak bytes of a batched bound evaluation per element of its largest
-# arrays: a (grid point, h, h') term of the computation-limit curve (one
-# float64, 8.7-10.3 B measured at 1e5 to 1e7 terms) or an entry of a
-# candidate's s-vector (the int64 row, its difference and a mask: 16.5 B
-# measured when the rows dominate).
-_BYTES_PER_ELEMENT = 24
-# A batch of profiles is evaluated in sub-batches of at most this many term
-# and s-vector elements together, unless one profile alone has more.
+# Peak bytes of a batched bound evaluation per float64 element of its
+# largest arrays (see _profile_elements): tracemalloc measured at most
+# 8.7 B per element over sub-batches of 2^16 elements or more, at n = 1 to
+# 128 and grids of 2 to 20000 points.
+_BYTES_PER_ELEMENT = 12
+# A batch of profiles is evaluated in sub-batches of at most this many
+# elements together, unless one profile alone has more.
 _BATCH_ELEMENTS = 2 ** 18
 
 
-def batch_rows(n: int, stages: int, points: int) -> int:
-    """How many n-time profiles with `stages` stages one batched evaluation
-    on a grid of `points` takes at a time: as many as fit _BATCH_ELEMENTS,
-    and at least one."""
-    return max(1, _BATCH_ELEMENTS // (points * stages * stages + n))
+def _profile_elements(stages: int, points: int) -> int:
+    """Float64 elements that the largest arrays of a bound evaluation hold
+    per profile with `stages` stages on a grid of `points`: at each grid
+    point the h' <= h terms of the computation-limit curve and three
+    per-stage prefix-sum rows, and five arrays of agreement probabilities
+    that have one entry per term."""
+    terms = stages * (stages + 1) // 2
+    return points * (terms + 3 * stages) + 5 * terms
+
+
+def batch_rows(stages: int, points: int) -> int:
+    """How many profiles with `stages` stages one batched evaluation on a
+    grid of `points` takes at a time: as many as fit _BATCH_ELEMENTS, and at
+    least one."""
+    return max(1, _BATCH_ELEMENTS // _profile_elements(stages, points))
 
 
 def bound_memory_bytes(n: int, stages: int, points: int) -> int:
     """Estimated peak memory of MomentTables plus one batched bound
-    evaluation of profiles with at most `stages` stages on a grid of
+    evaluation of n-time profiles with at most `stages` stages on a grid of
     `points`: 64 B per grid point and time for the tables, and
-    _BYTES_PER_ELEMENT per term and s-vector entry of the largest sub-batch
-    (both measured peaks)."""
-    elements = max(points * stages * stages + n, _BATCH_ELEMENTS)
+    _BYTES_PER_ELEMENT per element of the largest sub-batch (both measured
+    peaks)."""
+    elements = max(_profile_elements(stages, points), _BATCH_ELEMENTS)
     return 64 * points * (n + 1) + _BYTES_PER_ELEMENT * elements
 
 
@@ -154,29 +163,39 @@ def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
     from the (B, h_f + 1) levels and ends of B profiles with h_f stages."""
     h_f = levels.shape[1] - 1
     rh = ends[:, :h_f].T
-    tau = _tau_matrices(levels)
+    # (h, h') of each term of the h' <= h triangle, row by row
+    hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
+    hp = np.arange(len(hh)) - hh * (hh + 1) // 2
+    diag = hh == hp
+    # Pr(tau_h = b_h'), as in _tau_matrices
+    through, tau = _agreement(levels)
+    tau = tau[:, hp]
+    tau[:, diag] = through[:, :-1]
     log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
     log_v = levels[:, 1:].astype(float) - math.log2(limit)
 
     # [h, b, g] prefix sums at r_[h]
     SA = tables.prefix_abar.T[rh]
-    SB = tables.prefix_a.T[rh]
-    SB_n = tables.prefix_a[:, -1]
-    # [h, h', b, g]: log2 of the (h, h') moment (competitor over
-    # (r_[h'], r_[h]], transmitted path over (r_[h'], n]), then of the term
-    terms = np.empty((h_f, h_f) + SA.shape[1:])
-    np.subtract(SA[:, None], SA[None, :], out=terms)
-    terms += SB_n - SB
+    Dp = tables.prefix_a[:, -1] - tables.prefix_a.T[rh]
+    # [(h, h'), b, g] over the h' <= h triangle, row by row: log2 of the
+    # (h, h') moment (competitor over (r_[h'], r_[h]], transmitted path over
+    # (r_[h'], n]), then of the term
+    terms = np.empty((len(hh),) + SA.shape[1:])
+    for h in range(h_f):
+        row = terms[h * (h + 1) // 2:(h + 1) * (h + 2) // 2]
+        np.subtract(SA[h], SA[:h + 1], out=row)
+        row += Dp[:h + 1]
     terms *= tables.grid
-    terms += (log_v[:, :, None] + log_tau).transpose(1, 2, 0)[..., None]
-    np.exp2(terms, out=terms)
-    # probability-one rows: root (0, 0) and agreeing diagonal (h, h); the
-    # terms above the diagonal are exp2(-inf) = 0
-    diag = np.arange(h_f)
-    terms[diag, diag] = np.exp2(log_v + log_tau[:, diag, diag]).T[..., None]
-    # (h, h') are the outer axes, so each (b, g) entry is summed in the same
-    # order, (h, h') row by row, whatever the batch
-    return terms.sum(axis=(0, 1))
+    terms += (log_v[:, hh] + log_tau).T[..., None]
+    with np.errstate(over="ignore"):
+        np.exp2(terms, out=terms)
+        # probability-one rows: root (0, 0) and agreeing diagonal (h, h)
+        terms[diag] = np.exp2(log_v + log_tau[:, diag]).T[..., None]
+    # numpy reduces this outer axis sequentially, so each (b, g) entry is
+    # summed in the same order, (h, h') row by row, whatever the batch.
+    # The h' > h terms, where tau = 0, are exp2(-inf) = 0 and x + 0.0 == x,
+    # so they are not evaluated: the sums equal those over the full square.
+    return terms.sum(axis=0)
 
 
 def _cfe_curves(levels: np.ndarray, ends: np.ndarray, k: int,
@@ -190,7 +209,8 @@ def _cfe_curves(levels: np.ndarray, ends: np.ndarray, k: int,
     abar, a = tables.prefix_abar, tables.prefix_a
     # [h, b, g], summed over h in order
     S = (abar[:, -1] - abar.T[rh]) + (a[:, -1] - a.T[rh])
-    return np.exp2(tables.grid * (log_w[..., None] + S)).sum(axis=0)
+    with np.errstate(over="ignore"):
+        return np.exp2(tables.grid * (log_w[..., None] + S)).sum(axis=0)
 
 
 def _grid_minima(curves: np.ndarray, grid: np.ndarray):
@@ -225,16 +245,18 @@ def d_cfe_g(profile: TreeProfile, cm: CostModel, tables: MomentTables):
     return float(value[0]), float(rho[0])
 
 
-def d_e_g_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
-                 limit: float, tables: MomentTables) -> np.ndarray:
-    """d_e_g of each of B (n, k) profiles that share their stage count,
-    given as (B, h_f + 1) levels and ends; equal to the `d_e_g` of each
-    profile evaluated alone."""
+def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
+                 limit: float, tables: MomentTables):
+    """(d_cle_g, varrho_star, d_cfe_g, rho_star) of each of B (n, k)
+    profiles that share their stage count, given as (B, h_f + 1) levels and
+    ends: four (B,) arrays, equal to those of each profile evaluated alone
+    by `d_cle_g` and `d_cfe_g`."""
     _check_limit(limit)
     _require_match(tables, int(ends[0, -1]), cm)
-    cle, _ = _grid_minima(_cle_curves(levels, ends, limit, tables), tables.grid)
-    cfe, _ = _grid_minima(_cfe_curves(levels, ends, k, tables), tables.grid)
-    return cle + cfe
+    cle, varrho = _grid_minima(_cle_curves(levels, ends, limit, tables),
+                               tables.grid)
+    cfe, rho = _grid_minima(_cfe_curves(levels, ends, k, tables), tables.grid)
+    return cle, varrho, cfe, rho
 
 
 @dataclass(frozen=True)
@@ -370,6 +392,7 @@ def gallager_reference_bsc(n: int, k: int, p: float, rho_grid=None) -> float:
     for rho in rho_grid:
         e = 1.0 / (1.0 + rho)
         inner = 2.0 * (0.5 * ((1.0 - p) ** e + p ** e)) ** (1.0 + rho)
-        value = 2.0 ** (log_m1 * rho + n * math.log2(inner))
+        with np.errstate(over="ignore"):
+            value = 2.0 ** (log_m1 * rho + n * math.log2(inner))
         best = min(best, value)
     return float(best)

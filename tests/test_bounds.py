@@ -9,6 +9,8 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   d_e_g, gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate, tau_distribution)
+from cort.bounds import _cle_curves
+from reference_bounds import full_square_cle_curves
 
 
 def model(p, gamma, n):
@@ -114,6 +116,50 @@ class TestCleBound:
         prof = pure_random_profile(4, 2)
         with pytest.raises(ValueError):
             d_cle_g(prof, model(0.1, 1.0, 4), 0, MomentTables(4, 0.1, 1.0))
+
+
+def random_stage_rows(rng, n, stages, rows, top):
+    """(rows, stages + 1) levels and ends of random profiles of n times with
+    `stages` stages and levels at most `top`."""
+    levels = [np.r_[0, np.sort(rng.choice(np.arange(1, top + 1), stages,
+                                          replace=False))]
+              for _ in range(rows)]
+    ends = [np.r_[0, np.sort(rng.choice(np.arange(1, n), stages - 1,
+                                        replace=False)), n]
+            for _ in range(rows)]
+    return np.array(levels), np.array(ends)
+
+
+class TestTriangularCurves:
+    """_cle_curves evaluates only the h' <= h terms; its curves equal the
+    full-square reference's to the byte."""
+
+    def test_random_batches_equal_reference(self):
+        rng = np.random.default_rng(31)
+        for i in range(600):
+            n = int(rng.integers(1, 61))
+            stages = int(rng.integers(1, n + 1))
+            p = float(rng.choice([0.01, 0.05, 0.2]))
+            gamma = (1.0, 0.9992)[i % 2]
+            tables = MomentTables(n, p, gamma, chernoff_grid((2, 10, 100)[i % 3]))
+            levels, ends = random_stage_rows(rng, n, stages,
+                                             int(rng.integers(1, 6)), n)
+            limit = float(rng.choice([1, 16, 1e3, 1e9]))
+            assert (_cle_curves(levels, ends, limit, tables).tobytes()
+                    == full_square_cle_curves(levels, ends, limit,
+                                              tables).tobytes())
+
+    def test_extreme_levels_equal_reference(self):
+        # at n = 1100 the agreement probabilities 2^-1000 and below fall
+        # under the 1e-300 clamp or to 0, and 2^levels / L overflows to inf
+        rng = np.random.default_rng(32)
+        tables = MomentTables(1100, 0.03, 0.9992)
+        levels, ends = random_stage_rows(rng, 1100, 30, 3, 999)
+        levels[:, -6:] = [1000, 1010, 1040, 1060, 1080, 1100]
+        curves = _cle_curves(levels, ends, 100, tables)
+        assert np.isinf(curves).any()
+        assert (curves.tobytes()
+                == full_square_cle_curves(levels, ends, 100, tables).tobytes())
 
 
 class TestCfeBound:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,14 @@ class TestBoundCommand:
         assert "d_cle_g, d_e_g not finite" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "results").exists()
+
+    def test_overflowing_bound_warns_nothing(self, tmp_path, capsys):
+        # the expected overflow reaches the user only as the usage error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, "bound", "--profile", "pure", "--n", "1100",
+                       "--k", "1100", "--p", "0.4", "--limit", "100") == 2
+        assert "d_cle_g, d_e_g not finite" in capsys.readouterr().err
 
 
 class TestSbpCommand:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -8,6 +9,8 @@ from cort import (BscChannel, CostModel, MomentTables, candidate_sweep,
                   d_cle_m_exact, d_e_g, profile_from_arrivals, profile_from_s,
                   sbp_optimize)
 from cort.bounds import batch_rows, bound_memory_bytes
+from cort.sbp import candidate_stages
+from cort.tree_code import stage_rows
 
 
 def setup(n, p, gamma=1.0, grid_points=10):
@@ -36,7 +39,7 @@ class TestCandidateSweep:
         # position 1 makes (2, 2), position 2 makes (1, 2)
         cm, tables = setup(2, 0.1)
         current = profile_from_s(2, 1, [1, 1])
-        sweep = candidate_sweep(current, cm, 64, tables)
+        sweep = candidate_sweep(current, cm, 64, tables).d_e_g
         assert sweep.shape == (2,)
         assert sweep[0] == d_e_g(profile_from_s(2, 2, [2, 2]), cm, 64,
                                  tables).d_e_g
@@ -46,7 +49,7 @@ class TestCandidateSweep:
     def test_all_candidates_distinct(self):
         cm, tables = setup(3, 0.1)
         current = profile_from_s(3, 1, [1, 1, 1])
-        sweep = candidate_sweep(current, cm, 64, tables)
+        sweep = candidate_sweep(current, cm, 64, tables).d_e_g
         assert len(sweep) == 3
         assert len({tuple(suffix_increment(current.s, j))
                     for j in (1, 2, 3)}) == 3
@@ -56,7 +59,7 @@ class TestCandidateSweep:
         # each value is that of the (4, 3) profile, not of a (4, 2) one
         cm, tables = setup(4, 0.05)
         current = profile_from_s(4, 2, [1, 1, 2, 2])
-        sweep = candidate_sweep(current, cm, 64, tables)
+        sweep = candidate_sweep(current, cm, 64, tables).d_e_g
         assert sweep.tolist() == scalar_sweep(current, cm, 64, tables)
 
     def test_equals_scalar_evaluation(self):
@@ -73,7 +76,7 @@ class TestCandidateSweep:
             cm, tables = setup(n, p, gamma=(1.0, 0.9992)[i % 2],
                                grid_points=(2, 10, 100)[i % 3])
             limit = float(rng.choice([16, 1e3, 1e6, 1e9]))
-            sweep = candidate_sweep(current, cm, limit, tables)
+            sweep = candidate_sweep(current, cm, limit, tables).d_e_g
             assert sweep.tolist() == scalar_sweep(current, cm, limit, tables)
 
     def test_peak_memory_within_estimate(self):
@@ -83,7 +86,7 @@ class TestCandidateSweep:
         cm, tables = setup(128, 0.05, grid_points=200)
         current = sbp_optimize(128, 32, cm, 64, tables).final_profile
         stages = current.num_stages + 1
-        assert batch_rows(128, stages, 200) < 128
+        assert batch_rows(stages, 200) < 128
         tracemalloc.start()
         try:
             candidate_sweep(current, cm, 64, tables)
@@ -91,6 +94,39 @@ class TestCandidateSweep:
         finally:
             tracemalloc.stop()
         assert peak <= bound_memory_bytes(128, stages, 200)
+
+
+def check_candidate_stages(current):
+    """candidate_stages of `current` against stage_rows of the explicit
+    candidate rows s + (t >= j), each position once."""
+    s = np.asarray(current.s)
+    t = np.arange(1, current.n + 1)
+    seen = []
+    for positions, levels, ends in candidate_stages(current):
+        assert len(levels) == len(ends) == len(positions)
+        if len(positions):
+            want_levels, want_ends = stage_rows(s + (t >= positions[:, None]))
+            assert np.array_equal(levels, want_levels)
+            assert np.array_equal(ends, want_ends)
+        seen.extend(positions.tolist())
+    assert sorted(seen) == t.tolist()
+
+
+class TestCandidateStages:
+    def test_every_small_profile(self):
+        # every valid s with n <= 8 and entries at most n
+        for n in range(1, 9):
+            for s in itertools.combinations_with_replacement(range(1, n + 1), n):
+                check_candidate_stages(profile_from_s(n, s[-1], s))
+
+    def test_random_profiles(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 129))
+            k = int(rng.integers(1, n + 1))
+            arrivals = np.sort(rng.integers(1, n + 1, size=k))
+            arrivals[0] = 1
+            check_candidate_stages(profile_from_arrivals(n, arrivals))
 
 
 class TestSbpOptimize:
@@ -133,7 +169,7 @@ class TestSbpOptimize:
         trace = sbp_optimize(12, 4, cm, 128, tables)
         profile = profile_from_s(12, 1, [1] * 12)
         for step in trace.steps:
-            sweep = candidate_sweep(profile, cm, 128, tables)
+            sweep = candidate_sweep(profile, cm, 128, tables).d_e_g
             assert step.d_e_g == sweep[step.position - 1] == sweep.min()
             assert step.position - 1 == np.flatnonzero(sweep == sweep.min())[0]
             profile = profile_from_s(
@@ -147,10 +183,28 @@ class TestSbpOptimize:
         assert a == b
 
     def test_step_records_match_reports(self):
-        cm, tables = setup(10, 0.06)
-        trace = sbp_optimize(10, 3, cm, 64, tables)
-        for step in trace.steps:
-            assert step.d_e_g == step.d_cle_g + step.d_cfe_g
+        # each record, read from its step's sweep, is the d_e_g report of
+        # the profile that step made, field for field
+        rng = np.random.default_rng(22)
+        for i in range(60):
+            n = int(rng.integers(1, 25))
+            k = int(rng.integers(1, n + 1))
+            p = float(rng.choice([0.01, 0.06, 0.2]))
+            limit = float(rng.choice([4, 64, 1e6]))
+            cm, tables = setup(n, p, gamma=(1.0, 0.9992)[i % 2],
+                               grid_points=(2, 10, 100)[i % 3])
+            trace = sbp_optimize(n, k, cm, limit, tables)
+            profile = profile_from_s(n, 1, [1] * n)
+            for step in trace.steps:
+                profile = profile_from_s(n, profile.k + 1, suffix_increment(
+                    profile.s, step.position))
+                report = d_e_g(profile, cm, limit, tables)
+                assert step.d_e_g == step.d_cle_g + step.d_cfe_g
+                assert ((step.d_e_g, step.d_cle_g, step.d_cfe_g,
+                         step.varrho_star, step.rho_star)
+                        == (report.d_e_g, report.d_cle_g, report.d_cfe_g,
+                            report.varrho_star, report.rho_star))
+            assert profile == trace.final_profile
 
     def test_invalid_sizes(self):
         cm, tables = setup(4, 0.1)
