@@ -33,10 +33,11 @@ loop sees only the iterator:
   by numpy; a generator converts the order to pairs 4 at a time as they
   are reached.
 - Lazy slices (more than 4096, such as the 2^21-child root at the paper's
-  design point): costed in row chunks and ordered in slices, the cheapest
-  256 children with all their ties, then the next 512, and so on, each
-  taken only when the generator runs out of the previous one, since a
-  decode pops only a few children of a wide block.
+  design point): costed a 4096-row chunk at a time from a table of the
+  last 12 suffix bits and one of the others, and ordered in slices, the
+  cheapest 256 children with all their ties, then the next 512, and so
+  on, each taken only when the generator runs out of the previous one,
+  since a decode pops only a few children of a wide block.
 
 Each way gives the same costs to the bit (Python's float addition is the
 IEEE addition numpy does) and the same order as a stable argsort.
@@ -71,7 +72,8 @@ BYTES_PER_CHECK = 208
 # _CHUNK_ROWS-row chunk at a time and ordered in slices, the first of the
 # cheapest _FIRST_SLICE children.  A block that fits in one chunk is costed
 # in one product and fully sorted, which is faster at its size.
-_CHUNK_ROWS = 4096
+_CHUNK_BITS = 12
+_CHUNK_ROWS = 1 << _CHUNK_BITS
 _FIRST_SLICE = 256
 # A block of at most _NARROW children is ordered as one sorted list of
 # (cost, index) pairs of Python numbers, which at its size is faster than
@@ -84,9 +86,6 @@ _FIRST_SLICE = 256
 _NARROW = 16
 _PAGE = 4
 _MEMO_SYMBOLS = 8
-# Suffix tables are XOR-doubled _FLAT_ROWS rows at a time as one flat row
-# once they are that tall, so that numpy's inner loop is long.
-_FLAT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -112,25 +111,27 @@ class DecodeOutcome:
 def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     """Estimated peak memory of one decode, in bytes.
 
-    Every stage's suffix-output table is held, at 1 B per child and output
-    symbol, and so is every segment-cost memo, at most 2^(segment length)
+    Every stage's suffix tables are held, 1 B per output symbol of their
+    min(c, _CHUNK_ROWS) rows plus c / _CHUNK_ROWS for c > _CHUNK_ROWS
+    children, and so is every segment-cost memo, at most 2^(segment length)
     entries of about 264 B plus 88 B per child.  On top, the largest
     expansion holds 10 B per entry of the rows it costs in one product (the
-    mismatch mask and its float64 copy; a _CHUNK_ROWS-row chunk of a lazily
-    ordered block) and 32 B per child (its float64 costs, plus either the
-    stable argsort or the copy that np.partition selects in with the masks
-    and index arrays of a slice).  Then BYTES_PER_CHECK per node check
-    after the root expansion, whose c_0 children the block term already
-    holds: at most limit - c_0 + max(c_1, ...) of them, and none when the
-    root's children are terminal (one stage), since the decode returns at
-    the first pop.  At the paper's design point (c_0 = 2^21, 32 root
-    symbols) the largest expansion's traced peak was 103 MB against 136 MB
-    estimated for the tables and block.
+    mask, its float64 copy and a chunk's tiled target; a _CHUNK_ROWS-row
+    chunk of a lazily ordered block) and 32 B per child (its float64 costs,
+    plus either the stable argsort or the copy that np.partition selects in
+    with the masks and index arrays of a slice).  Then BYTES_PER_CHECK per
+    node check after the root expansion, whose c_0 children the block term
+    already holds: at most limit - c_0 + max(c_1, ...) of them, none for a
+    one-stage profile, whose decode returns at the first pop.  At the
+    paper's design point (c_0 = 2^21, 32 root symbols) a decode at limit
+    c_0 peaked at 36 MB traced against 72 MB estimated.
     """
     r = profile.ends
     fanout = profile.branch_fanout
     shapes = [(rows, r[h + 1] - r[h]) for h, rows in enumerate(fanout)]
-    tables = sum(rows * seg for rows, seg in shapes)
+    tables = sum((min(rows, _CHUNK_ROWS)
+                  + (rows >> _CHUNK_BITS if rows > _CHUNK_ROWS else 0)) * seg
+                 for rows, seg in shapes)
     memos = sum((1 << seg) * (264 + 88 * rows) for rows, seg in shapes
                 if rows <= _NARROW and seg <= _MEMO_SYMBOLS)
     block = max(10 * min(rows, _CHUNK_ROWS) * seg + 32 * rows
@@ -160,6 +161,15 @@ def _unpack(prefix: int, depth: int) -> tuple:
     return tuple(map(int, format(prefix, f"0{depth}b")))
 
 
+def _xor_table(cols: np.ndarray) -> np.ndarray:
+    """Row i XORs the rows of the 0/1 matrix `cols` that the bits of i pick,
+    the first row by the most significant bit; built by XOR-doubling."""
+    table = np.zeros((1 << len(cols), cols.shape[1]), dtype=np.uint8)
+    for j, col in enumerate(cols[::-1]):
+        np.bitwise_xor(table[:1 << j], col, out=table[1 << j:2 << j])
+    return table
+
+
 def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
                  packed: list, lo: int, hi: int, level: int,
                  next_level: int):
@@ -167,50 +177,39 @@ def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
 
     Its children append every suffix of width w = next_level - level and
     add the cost of output segment (lo, hi].  Returns the segment's outputs
-    for all 2^w suffixes as a (2^w, hi - lo) table, suffix i in row i (its
-    first bit most significant), built in place by XOR-doubling the suffix
-    columns; the parent columns' rows packed as ints, cut from the
-    generator's rows `packed` once per decode; the segment of y; its
-    per-symbol costs; and the block's segment-cost memo, a dict when the
+    as two _xor_tables of the suffix columns: `low` of the last
+    min(w, _CHUNK_BITS), and `high` of the others when there are any, else
+    None.  By linearity over GF(2), suffix c * _CHUNK_ROWS + i outputs
+    high[c] ^ low[i].  Then the parent columns' rows packed as ints, cut
+    from the generator's rows `packed` once per decode; the segment of y;
+    its per-symbol costs; and the block's segment-cost memo, a dict when the
     block is narrow and its segment at most _MEMO_SYMBOLS long, else None.
     """
-    seg = hi - lo
-    table = np.empty((1 << (next_level - level), seg), dtype=np.uint8)
-    table[0] = 0
-    m = 1
-    for col in g.bits[lo:hi, level:next_level].T[::-1]:
-        if m < _FLAT_ROWS:
-            np.bitwise_xor(table[:m], col, out=table[m:2 * m])
-        else:
-            flat = _FLAT_ROWS * seg
-            np.bitwise_xor(table[:m].reshape(-1, flat),
-                           np.tile(col, _FLAT_ROWS),
-                           out=table[m:2 * m].reshape(-1, flat))
-        m *= 2
+    split = max(level, next_level - _CHUNK_BITS)
+    high = _xor_table(g.bits[lo:hi, level:split].T) if split > level else None
+    low = _xor_table(g.bits[lo:hi, split:next_level].T)
     shift = g.profile.k - level
-    memo = {} if len(table) <= _NARROW and seg <= _MEMO_SYMBOLS else None
-    return (table, [row >> shift for row in packed[lo:hi]], y[lo:hi],
+    memo = {} if len(low) <= _NARROW and hi - lo <= _MEMO_SYMBOLS else None
+    return (low, high, [row >> shift for row in packed[lo:hi]], y[lo:hi],
             np.asarray(cm.per_symbol_cost[lo:hi], dtype=float), memo)
 
 
-def _chunked_costs(table: np.ndarray, target: np.ndarray,
+def _chunked_costs(low: np.ndarray, high: np.ndarray, target: np.ndarray,
                    weights: np.ndarray, cost: float) -> np.ndarray:
-    """cost + (table != target) @ weights, one _CHUNK_ROWS-row chunk at a
-    time, so that no float64 copy of the whole mismatch mask is made.
-
-    The table has a power-of-two row count above _CHUNK_ROWS, so every chunk
-    is full.  Full power-of-two chunks gave the one-shot product's values to
-    the bit on 2^16 x 34 and 2^21 x 32 blocks (OpenBLAS, Haswell kernel),
-    where a 12345-row chunk did not; the eager-reference tests guard this.
+    """cost + (table != target) @ weights for the suffix table whose row
+    c * _CHUNK_ROWS + i is high[c] ^ low[i], one full chunk c at a time,
+    with low compared flat against target ^ high[c] tiled, so that neither
+    the table nor a float64 copy of its whole mismatch mask is made.
+    Full power-of-two chunks gave the one-shot product's values to the bit
+    on 2^16 x 34 and 2^21 x 32 blocks (OpenBLAS, Haswell kernel), where a
+    12345-row chunk did not; the eager-reference tests guard this.
     """
-    costs = np.empty(len(table))
-    flat_target = np.tile(target, _CHUNK_ROWS)
-    for a in range(0, len(table), _CHUNK_ROWS):
-        mask = table[a:a + _CHUNK_ROWS].reshape(-1) != flat_target
-        np.matmul(mask.reshape(_CHUNK_ROWS, -1), weights,
-                  out=costs[a:a + _CHUNK_ROWS])
+    costs = np.empty((len(high), _CHUNK_ROWS))
+    for row, out in zip(high, costs):
+        mask = low.reshape(-1) != np.tile(target ^ row, _CHUNK_ROWS)
+        np.matmul(mask.reshape(low.shape), weights, out=out)
     costs += cost
-    return costs
+    return costs.reshape(-1)
 
 
 def _next_slice(costs: np.ndarray, above: float | None, size: int):
@@ -284,24 +283,24 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             blocks[stage] = _stage_block(g, cm, y, packed, r[stage],
                                          r[stage + 1], levels[stage],
                                          levels[stage + 1])
-        table, parent_rows, y_seg, weights, memo = blocks[stage]
+        low, high, parent_rows, y_seg, weights, memo = blocks[stage]
         parent_out = [(row & prefix).bit_count() & 1 for row in parent_rows]
-        if len(table) <= _NARROW:
+        if len(low) <= _NARROW:
             key = tuple(parent_out)
             seg = None if memo is None else memo.get(key)
             if seg is None:
                 target = y_seg ^ np.array(parent_out, dtype=np.uint8)
-                seg = list(enumerate(((table != target) @ weights).tolist()))
+                seg = list(enumerate(((low != target) @ weights).tolist()))
                 if memo is not None:
                     memo[key] = seg
             successors = iter(sorted([(cost + s, i) for i, s in seg]))
         else:
             target = y_seg ^ np.array(parent_out, dtype=np.uint8)
-            if len(table) > _CHUNK_ROWS:
-                costs = _chunked_costs(table, target, weights, cost)
+            if high is not None:
+                costs = _chunked_costs(low, high, target, weights, cost)
                 order, rest = _next_slice(costs, None, _FIRST_SLICE)
             else:
-                costs = cost + (table != target) @ weights
+                costs = cost + (low != target) @ weights
                 order, rest = costs.argsort(kind="stable"), None
             successors = _wide_successors(costs, order, rest)
         first_cost, first = next(successors)

@@ -246,10 +246,11 @@ class TestSimulateCommand:
         assert code == 2
         assert "c_0 = 2^6 = 64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n,s1", [(32, 28), (128, 25)])
+    @pytest.mark.parametrize("n,s1", [(32, 28), (128, 27)])
     def test_wide_root_exceeds_memory(self, tmp_path, capsys, n, s1):
         # at limit c_0 = 2^s1 no check follows the root expansion: the
-        # 2^s1 x n root table (8.6 GB, 4.3 GB) alone is what does not fit
+        # 32 B a child of the 2^s1-child root block (8.6 GB, 4.3 GB) alone
+        # is what does not fit
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"n": n, "k": s1, "s": [s1] * n}))
         code = run(tmp_path, "simulate", "--profile", str(path), "--p", "0.05",

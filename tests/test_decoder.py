@@ -303,22 +303,27 @@ class TestMatchesEagerReference:
 class TestMemoryEstimate:
     def test_covers_traced_peak_at_root_limit(self):
         # at limit = c_0 a decode holds little beyond the lazily ordered
-        # root block; the estimate must still cover its traced peak
-        prof = TestMatchesEagerReference.LAZY_ROOT
-        c0 = prof.branch_fanout[0]
-        estimate = decoder.decode_memory_bytes(prof, c0)
-        assert decoder.decode_memory_bytes(prof, c0 + 1000) - estimate \
-            == 1000 * decoder.BYTES_PER_CHECK
-        cm = model(p=0.1, gamma=1.0, n=prof.n)
-        g = sample_generator(prof, 0)
-        y = transmit(cm.channel, encode(g, draw_message(prof.k, 0)), 0)
-        tracemalloc.start()
-        try:
-            ssdgu_decode(g, y, cm, c0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= estimate
+        # root block; the estimate must still cover its traced peak.  The
+        # 2^18-child root with 32 symbols is costed without ever holding
+        # its 2^18 x 32 suffix table, 8.4 MB
+        wide = profile_from_arrivals(48, [1] * 18 + [33 + j for j in range(8)])
+        for prof in (TestMatchesEagerReference.LAZY_ROOT, wide):
+            c0 = prof.branch_fanout[0]
+            estimate = decoder.decode_memory_bytes(prof, c0)
+            assert decoder.decode_memory_bytes(prof, c0 + 1000) - estimate \
+                == 1000 * decoder.BYTES_PER_CHECK
+            cm = model(p=0.1, gamma=1.0, n=prof.n)
+            g = sample_generator(prof, 0)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, 0)), 0)
+            tracemalloc.start()
+            try:
+                ssdgu_decode(g, y, cm, c0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= estimate
+        assert wide.branch_fanout[0] == 2 ** 18 and wide.ends[1] == 32
+        assert peak < 2 ** 18 * 32
 
     def test_one_stage_estimate_ignores_limit(self):
         # a one-stage decode pops a terminal root child first and checks
