@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .measure import CostModel
 from .tree_code import TreeProfile
@@ -328,6 +327,7 @@ def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,
 
 def _binom_order_table(n: int, p: float) -> np.ndarray:
     """P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p)) for all l1, l2 <= n."""
+    from scipy import stats  # deferred: scipy.stats alone costs ~1 s to import
     vals = np.arange(n + 1)
     pmf = np.vstack([stats.binom.pmf(vals, l2, p) for l2 in range(n + 1)])
     cdf_half = np.vstack([stats.binom.cdf(vals, l1, 0.5) for l1 in range(n + 1)])
@@ -366,6 +366,7 @@ def rcu_exact_bsc(n: int, k: int, p: float) -> float:
     """
     if n > 512:
         raise ValueError("binomial tables limited to n <= 512")
+    from scipy import stats  # deferred, as in _binom_order_table
     w = np.arange(n + 1)
     weight_pmf = np.exp(stats.binom.logpmf(w, n, p))
     union = np.minimum(1.0, (2.0 ** k - 1.0) * stats.binom.cdf(w, n, 0.5))

@@ -10,7 +10,6 @@ resampling), and channel noise from the trial seed's streams
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -142,6 +141,9 @@ def simulate(config: TrialConfig, workers: int = 1) -> SimStats:
     if len(spans) == 1:
         parts = [_run_chunk(config, 0, trials)]
     else:
+        # deferred: the pool pulls in multiprocessing, which no one-worker
+        # run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             parts = list(pool.map(_run_chunk, [config] * len(spans),
                                   [a for a, _ in spans], [b for _, b in spans]))
