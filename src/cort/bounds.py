@@ -143,17 +143,21 @@ def tau_distribution(profile: TreeProfile) -> np.ndarray:
     return np.append(tau[0], 2.0 ** -profile.k)
 
 
-def _tau_matrices(levels: np.ndarray) -> np.ndarray:
-    """Lower-triangular [b, h, h'] -> Pr(tau_h = b_h') for each row b of
-    `levels`.  Its diagonal is the probability 2^-s(b_h) of agreeing through
+def _triangle(levels: np.ndarray):
+    """The T = h_f (h_f + 1) / 2 terms h' <= h of the computation-limit
+    bound of B profiles with h_f stages, row by row: their stage pairs h
+    and h' ((T,) int arrays) and Pr(tau_h = b_h') of each row b of
+    `levels`, (B, T).  On the
+    diagonal h' = h this is the probability 2^-s(b_h) of agreeing through
     stage h, which in the h = 0 root row is the unit mass the root term
     carries."""
+    h_f = levels.shape[1] - 1
+    hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
+    hp = np.arange(len(hh)) - hh * (hh + 1) // 2
     through, tau = _agreement(levels)
-    rows, h_f = tau.shape
-    tau = np.tril(np.broadcast_to(tau[:, None, :], (rows, h_f, h_f)))
-    diag = np.arange(h_f)
-    tau[:, diag, diag] = through[:, :-1]
-    return tau
+    tau = tau[:, hp]
+    tau[:, hh == hp] = through[:, :-1]
+    return hh, hp, tau
 
 
 def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
@@ -162,14 +166,8 @@ def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
     from the (B, h_f + 1) levels and ends of B profiles with h_f stages."""
     h_f = levels.shape[1] - 1
     rh = ends[:, :h_f].T
-    # (h, h') of each term of the h' <= h triangle, row by row
-    hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
-    hp = np.arange(len(hh)) - hh * (hh + 1) // 2
+    hh, hp, tau = _triangle(levels)
     diag = hh == hp
-    # Pr(tau_h = b_h'), as in _tau_matrices
-    through, tau = _agreement(levels)
-    tau = tau[:, hp]
-    tau[:, diag] = through[:, :-1]
     log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
     log_v = levels[:, 1:].astype(float) - math.log2(limit)
 
@@ -219,37 +217,13 @@ def _grid_minima(curves: np.ndarray, grid: np.ndarray):
     return curves[np.arange(len(curves)), i], grid[i]
 
 
-def _stage_arrays(profile: TreeProfile):
-    return np.array([profile.levels]), np.array([profile.ends])
-
-
-def d_cle_g(profile: TreeProfile, cm: CostModel, limit: float,
-            tables: MomentTables):
-    """Grid-minimized computation-limit bound; returns (value, varrho_star).
-
-    Ties resolve to the smallest grid value.
-    """
-    _check_limit(limit)
-    _require_match(tables, profile.n, cm)
-    value, varrho = _grid_minima(
-        _cle_curves(*_stage_arrays(profile), limit, tables), tables.grid)
-    return float(value[0]), float(varrho[0])
-
-
-def d_cfe_g(profile: TreeProfile, cm: CostModel, tables: MomentTables):
-    """Grid-minimized computation-free bound; returns (value, rho_star)."""
-    _require_match(tables, profile.n, cm)
-    value, rho = _grid_minima(
-        _cfe_curves(*_stage_arrays(profile), profile.k, tables), tables.grid)
-    return float(value[0]), float(rho[0])
-
-
 def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
                  limit: float, tables: MomentTables):
     """(d_cle_g, varrho_star, d_cfe_g, rho_star) of each of B (n, k)
     profiles that share their stage count, given as (B, h_f + 1) levels and
-    ends: four (B,) arrays, equal to those of each profile evaluated alone
-    by `d_cle_g` and `d_cfe_g`."""
+    ends: four (B,) arrays.  Each bound is minimized over the grid on its
+    own, ties resolving to the smallest grid value, and each row's values
+    do not depend on the rest of the batch."""
     _check_limit(limit)
     _require_match(tables, int(ends[0, -1]), cm)
     cle, varrho = _grid_minima(_cle_curves(levels, ends, limit, tables),
@@ -317,9 +291,11 @@ CSV_HEADER = ["n", "k", "p", "gamma", "L", "d_cle_g", "d_cfe_g", "d_e_g",
 def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,
           tables: MomentTables) -> BoundReport:
     """Total frame-error bound: limit part plus computation-free part, each
-    minimized over the grid independently."""
-    cle, varrho = d_cle_g(profile, cm, limit, tables)
-    cfe, rho = d_cfe_g(profile, cm, tables)
+    minimized over the grid independently (`bound_values` of a batch of
+    one)."""
+    cle, varrho, cfe, rho = (float(v[0]) for v in bound_values(
+        np.array([profile.levels]), np.array([profile.ends]), profile.k, cm,
+        limit, tables))
     return BoundReport(d_cle_g=cle, d_cfe_g=cfe, d_e_g=cle + cfe,
                        varrho_star=varrho, rho_star=rho, profile=profile,
                        p=cm.p, gamma=cm.gamma, limit=float(limit))
@@ -345,15 +321,13 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
         raise ValueError("exact evaluation requires gamma = 1")
     _check_limit(limit)
     n = profile.n
-    h_f = profile.num_stages
     r, levels = profile.ends, profile.levels
-    tau = _tau_matrices(np.array([profile.levels]))[0]
+    hh, hp, tau = _triangle(np.array([levels]))
     P = _binom_order_table(n, cm.p)
     total = 0.0
-    for h in range(h_f):
+    for i, (h, h_prime) in enumerate(zip(hh.tolist(), hp.tolist())):
         v = 2.0 ** float(levels[h + 1]) / limit
-        for hp in range(h + 1):
-            total += v * tau[h, hp] * P[r[h] - r[hp], n - r[hp]]
+        total += v * tau[0, i] * P[r[h] - r[h_prime], n - r[h_prime]]
     return total
 
 

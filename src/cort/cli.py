@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .bounds import (CSV_HEADER, MomentTables, bound_memory_bytes,
@@ -26,8 +25,7 @@ from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
 from .measure import CostModel
 from .montecarlo import TrialConfig, simulate, trial_instances, trial_spans
 from .sbp import sbp_optimize
-from .tree_code import (ProfileError, load_profile, pure_random_profile,
-                        save_profile)
+from .tree_code import ProfileError, load_profile, pure_random_profile
 
 RESULTS_ENV = "CORT_RESULTS_DIR"
 # Largest estimated peak memory, in bytes, that a command may go on to use.
@@ -61,18 +59,38 @@ class CliError(Exception):
     """Validation failure with an actionable message; exits nonzero."""
 
 
-@dataclass
-class RunRecord:
-    command: str
-    parameters: dict
-    timestamp: str
-    version: str
-    payload: dict
-    output_path: str
-
-
 def results_dir(args) -> str:
     return args.results_dir or os.environ.get(RESULTS_ENV, "results")
+
+
+def _check_outputs(args):
+    """Reject, before any work, an output file that is a directory or whose
+    directory does not exist, and a results directory that is not (and
+    cannot become) one."""
+    for option in ("out", "out_profile", "out_trace", "trace_jsonl"):
+        path = getattr(args, option, None)
+        flag = "--" + option.replace("_", "-")
+        if path and os.path.isdir(path):
+            raise CliError(f"{flag} {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"{flag} {path}: its directory does not exist")
+    base = existing = os.path.abspath(results_dir(args))
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise CliError(f"results directory {base} cannot be made: "
+                       f"{existing} is not a directory")
+
+
+def _write_json(path: str, doc, indent=None) -> None:
+    """Write doc as one JSON document and a newline; an OSError becomes a
+    CliError that names the path."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=indent)
+            fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def write_run_record(args, command: str, parameters: dict, payload: dict) -> str:
@@ -89,13 +107,12 @@ def write_run_record(args, command: str, parameters: dict, payload: dict) -> str
         except FileExistsError:
             copies += 1
             outdir = f"{name}-{copies}"
-    record = RunRecord(command=command, parameters=parameters, timestamp=stamp,
-                       version=__version__, payload=payload,
-                       output_path=outdir)
-    path = os.path.join(outdir, "record.json")
-    with open(path, "w") as fh:
-        json.dump(record.__dict__, fh, indent=2)
-        fh.write("\n")
+        except OSError as exc:
+            raise CliError(f"cannot create {outdir}: {exc}") from exc
+    record = {"command": command, "parameters": parameters, "timestamp": stamp,
+              "version": __version__, "payload": payload,
+              "output_path": outdir}
+    _write_json(os.path.join(outdir, "record.json"), record, indent=2)
     return outdir
 
 
@@ -180,9 +197,7 @@ def cmd_bound(args) -> int:
         print(f"rcu       = {rcu:.3e}   (gamma=1 log-likelihood reference)")
     print(f"gallager  = {gallager:.3e}   (gamma=1 reference)")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload, indent=2)
     write_run_record(args, "bound", _echo(args), payload)
     return 0
 
@@ -202,11 +217,9 @@ def cmd_sbp(args) -> int:
         print(f"{st.step:>4} {st.position:>4} {st.d_e_g:>12.3e} "
               f"{st.d_cle_g:>12.3e} {st.d_cfe_g:>12.3e}")
     if args.out_profile:
-        save_profile(trace.final_profile, args.out_profile)
+        _write_json(args.out_profile, trace.final_profile.to_json_dict())
     if args.out_trace:
-        with open(args.out_trace, "w") as fh:
-            fh.write(trace.to_json())
-            fh.write("\n")
+        _write_json(args.out_trace, trace.to_json_dict())
     write_run_record(args, "sbp", _echo(args), trace.to_json_dict())
     return 0
 
@@ -278,9 +291,7 @@ def cmd_simulate(args) -> int:
                          stats.undetected_error_rate,
                          stats.mean_nodes_checked])
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload, indent=2)
     print(f"record: {outdir}")
     return 0
 
@@ -394,6 +405,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,7 +92,10 @@ def profile_from_s(n: int, k: int, s) -> TreeProfile:
     if s[-1] != k:
         raise ProfileError(f"s(n)={s[-1]} does not equal k={k}")
 
-    levels, ends = (row[0].tolist() for row in stage_rows(s[None, :]))
+    # 0-based indices of the branching times b_2..b_{h_f}, so also b_h - 1
+    rises = np.flatnonzero(steps) + 1
+    levels = [0, int(s[0])] + s[rises].tolist()
+    ends = [0] + rises.tolist() + [n]
     return TreeProfile(
         n=n,
         k=k,
@@ -102,19 +105,6 @@ def profile_from_s(n: int, k: int, s) -> TreeProfile:
         ends=tuple(ends),
         branch_fanout=tuple(1 << (b - a) for a, b in zip(levels, levels[1:])),
     )
-
-
-def stage_rows(s: np.ndarray):
-    """levels and ends (see TreeProfile) of each row of s, an (m, n) int64
-    array of valid s-vectors that all have the same number of stages h_f.
-    Returns two (m, h_f + 1) int64 arrays."""
-    m, n = s.shape
-    # 0-based indices of the branching times b_2..b_{h_f}, so also b_h - 1
-    rises = np.nonzero(np.diff(s, axis=1))[1].reshape(m, -1) + 1
-    first = np.zeros((m, 1), dtype=np.int64)
-    levels = np.hstack([first, s[:, :1], np.take_along_axis(s, rises, axis=1)])
-    ends = np.hstack([first, rises, np.full((m, 1), n, dtype=np.int64)])
-    return levels, ends
 
 
 def profile_from_arrivals(n: int, arrivals) -> TreeProfile:

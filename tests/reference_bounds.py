@@ -3,7 +3,9 @@
 This is the form that `cort.bounds._cle_curves` replaced: it evaluates every
 (h, h') term, including the h' > h terms that are exp2(-inf) = 0, and
 overwrites the diagonal after the exponential.  It is kept only so that
-tests can require the triangular evaluation to return the same bytes.
+tests can require the triangular evaluation to return the same bytes, and
+it builds its own agreement probabilities and tau matrix from 2^-levels, so
+it shares no code with the triangle it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from cort.bounds import MomentTables, _tau_matrices
+from cort import MomentTables
 
 
 def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
@@ -21,7 +23,14 @@ def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
     from the (B, h_f + 1) levels and ends of B profiles with h_f stages."""
     h_f = levels.shape[1] - 1
     rh = ends[:, :h_f].T
-    tau = _tau_matrices(levels)
+    # [b, h, h'] -> Pr(tau_h = b_h'): the probability 2^-levels[h'] -
+    # 2^-levels[h' + 1] of last agreeing at stage h' below the diagonal,
+    # 2^-levels[h] of agreeing through stage h on it, 0 above it
+    through = np.exp2(-levels.astype(float))
+    last = through[:, :-1] - through[:, 1:]
+    tau = np.tril(np.broadcast_to(last[:, None, :], (len(levels), h_f, h_f)))
+    diag = np.arange(h_f)
+    tau[:, diag, diag] = through[:, :-1]
     log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
     log_v = levels[:, 1:].astype(float) - math.log2(limit)
 
@@ -37,6 +46,5 @@ def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
     terms += (log_v[:, :, None] + log_tau).transpose(1, 2, 0)[..., None]
     with np.errstate(over="ignore"):
         np.exp2(terms, out=terms)
-        diag = np.arange(h_f)
         terms[diag, diag] = np.exp2(log_v + log_tau[:, diag, diag]).T[..., None]
     return terms.sum(axis=(0, 1))

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from cort import (BscChannel, CostModel, MomentTables, TrialConfig,
-                  chernoff_grid, d_cfe_g, d_cle_g, d_cle_m_exact, d_e_g,
-                  gallager_reference_bsc, ml_consistency_check,
+                  chernoff_grid, d_cle_m_exact, d_e_g, gallager_reference_bsc, ml_consistency_check,
                   profile_from_arrivals, profile_from_s, pure_random_profile,
                   rcu_exact_bsc, sbp_optimize, simulate, ssdgu_decode)
 from cort.cli import REFERENCE_LIMITS, REFERENCE_TABLES, table_rows
@@ -38,7 +37,8 @@ def test_criterion_1_pure_random_cfe_minima():
     ok = True
     for p, printed in [(0.03, 1.1e-3), (0.02, 2.9e-6)]:
         prof = pure_random_profile(128, 64)
-        value, _ = d_cfe_g(prof, model(p, 1.0, 128), MomentTables(128, p, 1.0))
+        value = d_e_g(prof, model(p, 1.0, 128), 1e9,
+                      MomentTables(128, p, 1.0)).d_cfe_g
         good = abs(value - printed) <= 0.10 * printed
         ok &= good
         details.append(f"p={p}: {value:.3e} vs {printed:.1e}")
@@ -50,7 +50,8 @@ def test_criterion_2_gallager_equivalence():
     ok = True
     for n, k, p in [(16, 8, 0.05), (64, 32, 0.03), (128, 64, 0.02)]:
         prof = pure_random_profile(n, k)
-        value, rho = d_cfe_g(prof, model(p, 1.0, n), MomentTables(n, p, 1.0))
+        bound = d_e_g(prof, model(p, 1.0, n), 1e9, MomentTables(n, p, 1.0))
+        value, rho = bound.d_cfe_g, bound.rho_star
         reference = gallager_reference_bsc(n, k, p, [rho])
         rel = abs(value - reference) / reference
         ok &= rel < 1e-10
@@ -96,7 +97,8 @@ def test_criterion_4_rcu():
     details = [f"rcu(2,1,0.1)={hand:.12f}"]
     for p in (0.02, 0.03):
         prof = pure_random_profile(128, 64)
-        cfe, _ = d_cfe_g(prof, model(p, 1.0, 128), MomentTables(128, p, 1.0))
+        cfe = d_e_g(prof, model(p, 1.0, 128), 1e9,
+                    MomentTables(128, p, 1.0)).d_cfe_g
         rcu = rcu_exact_bsc(128, 64, p)
         ok &= rcu <= cfe
         details.append(f"p={p}: rcu={rcu:.2e} <= cfe={cfe:.2e}")
@@ -230,16 +232,16 @@ def test_criterion_10_bound_monotonicity():
     prof = profile_from_arrivals(32, [1, 2, 3, 5, 7, 11, 17, 25])
     cm = model(0.05, 1.0, 32)
     tables = MomentTables(32, 0.05, 1.0)
-    values = [d_cle_g(prof, cm, L, tables)[0]
+    values = [d_e_g(prof, cm, L, tables).d_cle_g
               for L in (256, 1024, 4096, 16384, 65536)]
     cle_ok = all(a >= b for a, b in zip(values, values[1:]))
 
     cmg = model(0.03, 0.9992, 128)
     sbp_prof = sbp_optimize(128, 64, cmg, 1e9,
                             MomentTables(128, 0.03, 0.9992)).final_profile
-    flat, _ = d_cfe_g(sbp_prof, model(0.03, 1.0, 128),
-                      MomentTables(128, 0.03, 1.0))
-    disc, _ = d_cfe_g(sbp_prof, cmg, MomentTables(128, 0.03, 0.9992))
+    flat = d_e_g(sbp_prof, model(0.03, 1.0, 128), 1e9,
+                 MomentTables(128, 0.03, 1.0)).d_cfe_g
+    disc = d_e_g(sbp_prof, cmg, 1e9, MomentTables(128, 0.03, 0.9992)).d_cfe_g
     gamma_ok = flat <= disc
 
     grid_ok = True

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from cort import (BoundReport, BscChannel, CostModel, MomentTables,
-                  TrialConfig, chernoff_grid, d_cfe_g, d_cle_g, d_cle_m_exact,
-                  d_e_g, gallager_reference_bsc, profile_from_arrivals,
+                  TrialConfig, chernoff_grid, d_cle_m_exact, d_e_g,
+                  gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate, tau_distribution)
 from cort.bounds import _cle_curves
@@ -59,7 +59,7 @@ class TestMomentTables:
         tabs = MomentTables(8, 0.1, 1.0)
         prof = pure_random_profile(8, 3)
         with pytest.raises(ValueError, match="do not match"):
-            d_cfe_g(prof, model(0.2, 1.0, 8), tabs)
+            d_e_g(prof, model(0.2, 1.0, 8), 16, tabs)
 
 
 class TestTauDistributions:
@@ -86,36 +86,36 @@ class TestCleBound:
         prof = profile_from_arrivals(16, [1, 2, 5, 9, 13])
         cm = model(0.05, 1.0, 16)
         tabs = MomentTables(16, 0.05, 1.0)
-        v1, _ = d_cle_g(prof, cm, 500, tabs)
-        v2, _ = d_cle_g(prof, cm, 1000, tabs)
+        v1 = d_e_g(prof, cm, 500, tabs).d_cle_g
+        v2 = d_e_g(prof, cm, 1000, tabs).d_cle_g
         assert math.isclose(v2, v1 / 2, rel_tol=1e-12)
 
     def test_pure_random_collapses_to_root_term(self):
         prof = pure_random_profile(16, 6)
         cm = model(0.05, 1.0, 16)
-        v, _ = d_cle_g(prof, cm, 256, tabs := MomentTables(16, 0.05, 1.0))
+        v = d_e_g(prof, cm, 256, MomentTables(16, 0.05, 1.0)).d_cle_g
         assert math.isclose(v, 2 ** 6 / 256, rel_tol=1e-12)
 
     def test_hand_value_two_stage(self):
         # worked by hand: c_0/L + v_1 [tau(1,0) (A^2 B^4)^rho + tau(1,1)]
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
         cm = model(0.03, 1.0, 4)
-        v, varrho = d_cle_g(prof, cm, 16, MomentTables(4, 0.03, 1.0))
-        assert math.isclose(v, 0.3231269672086089, rel_tol=1e-12)
-        assert varrho == 1.0
+        report = d_e_g(prof, cm, 16, MomentTables(4, 0.03, 1.0))
+        assert math.isclose(report.d_cle_g, 0.3231269672086089, rel_tol=1e-12)
+        assert report.varrho_star == 1.0
 
     def test_monotone_in_budget(self):
         prof = profile_from_arrivals(24, [1, 3, 5, 9, 13, 17, 21])
         cm = model(0.06, 0.9992, 24)
         tabs = MomentTables(24, 0.06, 0.9992)
-        values = [d_cle_g(prof, cm, L, tabs)[0]
+        values = [d_e_g(prof, cm, L, tabs).d_cle_g
                   for L in [64, 256, 1024, 4096, 16384]]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_invalid_limit(self):
         prof = pure_random_profile(4, 2)
         with pytest.raises(ValueError):
-            d_cle_g(prof, model(0.1, 1.0, 4), 0, MomentTables(4, 0.1, 1.0))
+            d_e_g(prof, model(0.1, 1.0, 4), 0, MomentTables(4, 0.1, 1.0))
 
 
 def random_stage_rows(rng, n, stages, rows, top):
@@ -166,33 +166,39 @@ class TestCfeBound:
     def test_pure_random_reference_values(self):
         for p, want in [(0.03, 1.1e-3), (0.02, 2.9e-6)]:
             prof = pure_random_profile(128, 64)
-            v, rho = d_cfe_g(prof, model(p, 1.0, 128), MomentTables(128, p, 1.0))
-            assert abs(v - want) <= 0.1 * want
-            assert rho == 1.0
+            report = d_e_g(prof, model(p, 1.0, 128), 1e9,
+                           MomentTables(128, p, 1.0))
+            assert abs(report.d_cfe_g - want) <= 0.1 * want
+            assert report.rho_star == 1.0
 
     def test_single_use_hand_value(self):
         # (2-1)^rho (A B)^rho at theta = 1/2: A ~ 0.78868, B ~ 1.18301
         prof = pure_random_profile(1, 1)
-        v, rho = d_cfe_g(prof, model(0.25, 1.0, 1), MomentTables(1, 0.25, 1.0))
-        assert math.isclose(v, 0.9330127018922193, rel_tol=1e-12)
-        assert rho == 1.0
+        report = d_e_g(prof, model(0.25, 1.0, 1), 16, MomentTables(1, 0.25, 1.0))
+        assert math.isclose(report.d_cfe_g, 0.9330127018922193, rel_tol=1e-12)
+        assert report.rho_star == 1.0
 
     def test_hand_value_two_stage(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        v, _ = d_cfe_g(prof, model(0.03, 1.0, 4), MomentTables(4, 0.03, 1.0))
+        v = d_e_g(prof, model(0.03, 1.0, 4), 16,
+                  MomentTables(4, 0.03, 1.0)).d_cfe_g
         assert math.isclose(v, 0.8541244147197856, rel_tol=1e-12)
 
     def test_independent_of_budget(self):
         prof = profile_from_arrivals(16, [1, 4, 8, 12])
         cm = model(0.04, 1.0, 16)
         tabs = MomentTables(16, 0.04, 1.0)
-        assert d_cfe_g(prof, cm, tabs) == d_cfe_g(prof, cm, tabs)
+        small, large = (d_e_g(prof, cm, limit, tabs) for limit in (16, 1e9))
+        assert ((small.d_cfe_g, small.rho_star)
+                == (large.d_cfe_g, large.rho_star))
+        assert small.d_cle_g != large.d_cle_g
 
     def test_discount_never_helps(self):
         prof = profile_from_arrivals(64, [1] + [2 * j for j in range(1, 32)])
-        v1, _ = d_cfe_g(prof, model(0.03, 1.0, 64), MomentTables(64, 0.03, 1.0))
-        vg, _ = d_cfe_g(prof, model(0.03, 0.9992, 64),
-                        MomentTables(64, 0.03, 0.9992))
+        v1 = d_e_g(prof, model(0.03, 1.0, 64), 1e9,
+                   MomentTables(64, 0.03, 1.0)).d_cfe_g
+        vg = d_e_g(prof, model(0.03, 0.9992, 64), 1e9,
+                   MomentTables(64, 0.03, 0.9992)).d_cfe_g
         assert v1 <= vg
 
 
@@ -256,7 +262,7 @@ class TestExactCle:
             L = float(rng.integers(8, 4096))
             cm = model(p, 1.0, n)
             exact = d_cle_m_exact(prof, cm, L)
-            cher, _ = d_cle_g(prof, cm, L, MomentTables(n, p, 1.0))
+            cher = d_e_g(prof, cm, L, MomentTables(n, p, 1.0)).d_cle_g
             assert exact <= cher * (1 + 1e-12)
 
     def test_matches_direct_monte_carlo_small(self):
@@ -322,7 +328,8 @@ class TestRcu:
     def test_below_cfe_and_gallager(self):
         for p in (0.02, 0.03):
             prof = pure_random_profile(128, 64)
-            cfe, _ = d_cfe_g(prof, model(p, 1.0, 128), MomentTables(128, p, 1.0))
+            cfe = d_e_g(prof, model(p, 1.0, 128), 1e9,
+                        MomentTables(128, p, 1.0)).d_cfe_g
             rcu = rcu_exact_bsc(128, 64, p)
             assert rcu <= cfe
             assert rcu <= gallager_reference_bsc(128, 64, p)
@@ -336,9 +343,9 @@ class TestGallagerReference:
     def test_matches_cfe_at_matched_rho(self):
         for n, k, p in [(16, 8, 0.05), (64, 32, 0.03), (128, 64, 0.02)]:
             prof = pure_random_profile(n, k)
-            v, rho = d_cfe_g(prof, model(p, 1.0, n), MomentTables(n, p, 1.0))
-            ref = gallager_reference_bsc(n, k, p, [rho])
-            assert abs(v - ref) / ref < 1e-10
+            report = d_e_g(prof, model(p, 1.0, n), 1e9, MomentTables(n, p, 1.0))
+            ref = gallager_reference_bsc(n, k, p, [report.rho_star])
+            assert abs(report.d_cfe_g - ref) / ref < 1e-10
 
     def test_monotone_in_crossover(self):
         values = [gallager_reference_bsc(32, 16, p)
@@ -355,5 +362,5 @@ class TestBoundChain:
         tabs = MomentTables(32, 0.05, 1.0)
         prof = sbp_optimize(32, 8, cm, 4096, tabs).final_profile
         exact = d_cle_m_exact(prof, cm, 4096)
-        cher, _ = d_cle_g(prof, cm, 4096, tabs)
+        cher = d_e_g(prof, cm, 4096, tabs).d_cle_g
         assert exact <= cher

@@ -336,6 +336,42 @@ class TestValidationLeavesNoPartialFiles:
         assert not out.exists()
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("option, argv", [
+        ("--out", ["bound", "--profile", "pure", "--n", "8", "--k", "4",
+                   "--p", "0.1"]),
+        ("--out-profile", ["sbp", "--n", "4", "--k", "2", "--p", "0.1"]),
+        ("--out-trace", ["sbp", "--n", "4", "--k", "2", "--p", "0.1"]),
+        ("--trace-jsonl", ["simulate", "--profile", "pure", "--n", "8",
+                           "--k", "3", "--p", "0.05", "--limit", "64",
+                           "--trials", "2", "--threads", "1"]),
+        ("--results-dir", ["bound", "--profile", "pure", "--n", "8",
+                           "--k", "4", "--p", "0.1"]),
+    ], ids=["out", "out-profile", "out-trace", "trace-jsonl", "results-dir"])
+    def test_unwritable_output_rejected_first(self, tmp_path, capsys,
+                                              option, argv):
+        # a file in a missing directory or an existing directory, and a
+        # results directory that is a file, are usage errors before any
+        # work, not tracebacks after it
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        (tmp_path / "folder").mkdir()
+        if option == "--results-dir":
+            attempts = [(blocker, ["--results-dir", str(blocker), *argv])]
+        else:
+            attempts = [(path, ["--results-dir", str(tmp_path / "results"),
+                                *argv, option, str(path)])
+                        for path in (tmp_path / "missing" / "x.json",
+                                     tmp_path / "folder")]
+        for path, full_argv in attempts:
+            assert main(full_argv) == 2
+            captured = capsys.readouterr()
+            assert str(path) in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "folder"]
+        assert not any((tmp_path / "folder").iterdir())
+        assert blocker.read_text() == ""
+
 
 # Trial 0's exact pop trace and the exact statistics of a fixed-code campaign
 # on fixed seeds.  The payload equals PINNED_STATS[1] of test_montecarlo.py.

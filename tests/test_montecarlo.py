@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cort import (BscChannel, CostModel, GeneratorMatrix, MomentTables,
-                  TrialConfig, d_cle_g, encode, ml_oracle,
+                  TrialConfig, d_e_g, encode, ml_oracle,
                   profile_from_arrivals, pure_random_profile,
                   sample_generator, sbp_optimize, simulate)
 from cort.montecarlo import wilson_halfwidth
@@ -120,7 +120,7 @@ class TestEstimateCle:
         cm = model(0.08, 1.0, 24)
         tables = MomentTables(24, 0.08, 1.0)
         prof = sbp_optimize(24, 6, cm, 256, tables).final_profile
-        bound, _ = d_cle_g(prof, cm, 256, tables)
+        bound = d_e_g(prof, cm, 256, tables).d_cle_g
         stats = simulate(TrialConfig(profile=prof, p=0.08, gamma=1.0,
                                      limit=256, trials=2000, base_seed=5))
         assert stats.giveup_rate <= bound + 3 * stats.giveup_ci
@@ -132,9 +132,10 @@ class TestEstimateCle:
         cmg = model(0.08, 0.9992, 24)
         prof = sbp_optimize(24, 6, cmg, 96,
                             MomentTables(24, 0.08, 0.9992)).final_profile
-        bound_disc, _ = d_cle_g(prof, cmg, 96, MomentTables(24, 0.08, 0.9992))
-        bound_flat, _ = d_cle_g(prof, model(0.08, 1.0, 24), 96,
-                                MomentTables(24, 0.08, 1.0))
+        bound_disc = d_e_g(prof, cmg, 96,
+                           MomentTables(24, 0.08, 0.9992)).d_cle_g
+        bound_flat = d_e_g(prof, model(0.08, 1.0, 24), 96,
+                           MomentTables(24, 0.08, 1.0)).d_cle_g
         assert bound_disc <= bound_flat
         flat = simulate(TrialConfig(profile=prof, p=0.08, gamma=1.0, limit=96,
                                     trials=1500, base_seed=7))

@@ -10,7 +10,6 @@ from cort import (BscChannel, CostModel, MomentTables, candidate_sweep,
                   sbp_optimize)
 from cort.bounds import batch_rows, bound_memory_bytes
 from cort.sbp import candidate_stages
-from cort.tree_code import stage_rows
 
 
 def setup(n, p, gamma=1.0, grid_points=10):
@@ -97,19 +96,19 @@ class TestCandidateSweep:
 
 
 def check_candidate_stages(current):
-    """candidate_stages of `current` against stage_rows of the explicit
-    candidate rows s + (t >= j), each position once."""
-    s = np.asarray(current.s)
-    t = np.arange(1, current.n + 1)
+    """candidate_stages of `current` against the levels and ends of each
+    explicit candidate profile s + (t >= j), each position once."""
     seen = []
     for positions, levels, ends in candidate_stages(current):
         assert len(levels) == len(ends) == len(positions)
-        if len(positions):
-            want_levels, want_ends = stage_rows(s + (t >= positions[:, None]))
-            assert np.array_equal(levels, want_levels)
-            assert np.array_equal(ends, want_ends)
+        for j, row_levels, row_ends in zip(positions.tolist(), levels.tolist(),
+                                           ends.tolist()):
+            want = profile_from_s(current.n, current.k + 1,
+                                  suffix_increment(current.s, j))
+            assert (row_levels, row_ends) == (list(want.levels),
+                                              list(want.ends))
         seen.extend(positions.tolist())
-    assert sorted(seen) == t.tolist()
+    assert sorted(seen) == list(range(1, current.n + 1))
 
 
 class TestCandidateStages:
