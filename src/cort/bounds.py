@@ -37,6 +37,7 @@ from .measure import CostModel
 from .tree_code import TreeProfile
 
 DEFAULT_GRID_POINTS = 10
+RCU_MAX_N = 512  # largest n of rcu_exact_bsc and of `cort bound`'s rcu line
 
 
 def chernoff_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -56,8 +57,7 @@ class MomentTables:
     contiguous product over (t0, t1] is one subtraction.
     """
 
-    def __init__(self, n: int, p: float, gamma: float,
-                 grid=None):
+    def __init__(self, n: int, p: float, gamma: float, grid=None):
         if grid is None:
             grid = chernoff_grid()
         grid = np.asarray(grid, dtype=float)
@@ -147,10 +147,9 @@ def _triangle(levels: np.ndarray):
     """The T = h_f (h_f + 1) / 2 terms h' <= h of the computation-limit
     bound of B profiles with h_f stages, row by row: their stage pairs h
     and h' ((T,) int arrays) and Pr(tau_h = b_h') of each row b of
-    `levels`, (B, T).  On the
-    diagonal h' = h this is the probability 2^-s(b_h) of agreeing through
-    stage h, which in the h = 0 root row is the unit mass the root term
-    carries."""
+    `levels`, (B, T).  On the diagonal h' = h this is the probability
+    2^-s(b_h) of agreeing through stage h, which in the h = 0 root row is
+    the unit mass the root term carries."""
     h_f = levels.shape[1] - 1
     hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
     hp = np.arange(len(hh)) - hh * (hh + 1) // 2
@@ -301,13 +300,15 @@ def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,
                        p=cm.p, gamma=cm.gamma, limit=float(limit))
 
 
-def _binom_order_table(n: int, p: float) -> np.ndarray:
-    """P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p)) for all l1, l2 <= n."""
-    from scipy import stats  # deferred: scipy.stats alone costs ~1 s to import
-    vals = np.arange(n + 1)
-    pmf = np.vstack([stats.binom.pmf(vals, l2, p) for l2 in range(n + 1)])
-    cdf_half = np.vstack([stats.binom.cdf(vals, l1, 0.5) for l1 in range(n + 1)])
-    return cdf_half @ pmf.T
+def _binom_pmfs(n: int, p: float) -> np.ndarray:
+    """Row l is the Binom(l, p) pmf on 0..n, by Pascal's rule: row l + 1 is
+    (1 - p) row l plus p times row l shifted right by one."""
+    rows = np.zeros((n + 1, n + 1))
+    rows[0, 0] = 1.0
+    for l in range(n):
+        rows[l + 1] = (1.0 - p) * rows[l]
+        rows[l + 1, 1:] += p * rows[l, :-1]
+    return rows
 
 
 def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
@@ -323,12 +324,13 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
     n = profile.n
     r, levels = profile.ends, profile.levels
     hh, hp, tau = _triangle(np.array([levels]))
-    P = _binom_order_table(n, cm.p)
+    # P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p))
+    P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
     total = 0.0
     for i, (h, h_prime) in enumerate(zip(hh.tolist(), hp.tolist())):
         v = 2.0 ** float(levels[h + 1]) / limit
         total += v * tau[0, i] * P[r[h] - r[h_prime], n - r[h_prime]]
-    return total
+    return float(total)
 
 
 def rcu_exact_bsc(n: int, k: int, p: float) -> float:
@@ -338,13 +340,11 @@ def rcu_exact_bsc(n: int, k: int, p: float) -> float:
     transmitted word iff its distance to y is at most w, which happens with
     probability Pr(Binom(n, 1/2) <= w).
     """
-    if n > 512:
-        raise ValueError("binomial tables limited to n <= 512")
-    from scipy import stats  # deferred, as in _binom_order_table
-    w = np.arange(n + 1)
-    weight_pmf = np.exp(stats.binom.logpmf(w, n, p))
-    union = np.minimum(1.0, (2.0 ** k - 1.0) * stats.binom.cdf(w, n, 0.5))
-    return float(weight_pmf @ union)
+    if n > RCU_MAX_N:
+        raise ValueError(f"rcu_exact_bsc needs n <= {RCU_MAX_N} so that "
+                         f"2^k - 1 and 2^-n stay inside float64, got n = {n}")
+    beat = np.cumsum(_binom_pmfs(n, 0.5)[n])
+    return float(_binom_pmfs(n, p)[n] @ np.minimum(1.0, (2.0 ** k - 1) * beat))
 
 
 def gallager_reference_bsc(n: int, k: int, p: float, rho_grid=None) -> float:

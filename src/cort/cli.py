@@ -8,6 +8,7 @@ contain no timestamps, so reruns are bit-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -17,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import (CSV_HEADER, MomentTables, bound_memory_bytes,
+from .bounds import (CSV_HEADER, RCU_MAX_N, MomentTables, bound_memory_bytes,
                      chernoff_grid, d_e_g, gallager_reference_bsc,
                      rcu_exact_bsc)
 from .channel import BscChannel
@@ -82,15 +83,22 @@ def _check_outputs(args):
                        f"{existing} is not a directory")
 
 
-def _write_json(path: str, doc, indent=None) -> None:
-    """Write doc as one JSON document and a newline; an OSError becomes a
-    CliError that names the path."""
+@contextlib.contextmanager
+def _writing(path: str, mode: str = "w"):
+    """Open path for writing; an OSError on opening, writing or closing it
+    becomes a CliError that names the path."""
     try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=indent)
-            fh.write("\n")
+        with open(path, mode, newline="") as fh:
+            yield fh
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path: str, doc, indent=None) -> None:
+    """Write doc as one JSON document and a newline."""
+    with _writing(path) as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
 
 
 def write_run_record(args, command: str, parameters: dict, payload: dict) -> str:
@@ -177,7 +185,8 @@ def cmd_bound(args) -> int:
     tables = MomentTables(prof.n, args.p, args.gamma,
                           chernoff_grid(args.grid_points))
     report = d_e_g(prof, cm, args.limit, tables)
-    rcu = rcu_exact_bsc(prof.n, prof.k, args.p) if prof.n <= 512 else None
+    rcu = (rcu_exact_bsc(prof.n, prof.k, args.p) if prof.n <= RCU_MAX_N
+           else None)
     gallager = gallager_reference_bsc(prof.n, prof.k, args.p,
                                       chernoff_grid(args.grid_points))
     payload = report.to_json_dict()
@@ -230,7 +239,7 @@ def _write_first_trial_trace(config: TrialConfig, path: str) -> None:
     _, g, y = next(trial_instances(config, 0, 1))
     trace = []
     ssdgu_decode(g, y, config.cost_model(), config.limit, trace=trace)
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         for record in trace:
             record = dict(record, prefix=list(record["prefix"]))
             fh.write(json.dumps(record))
@@ -279,7 +288,7 @@ def cmd_simulate(args) -> int:
     outdir = write_run_record(args, "simulate", _echo(args), payload)
     csv_path = os.path.join(results_dir(args), "simulate.csv")
     fresh = not os.path.exists(csv_path)
-    with open(csv_path, "a", newline="") as fh:
+    with _writing(csv_path, "a") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(["n", "k", "p", "gamma", "L", "trials", "seed",
@@ -330,7 +339,7 @@ def cmd_tables(args) -> int:
                   f"d_e_g={row[7]:.3e}  printed: {row[10]:.1e}/{row[11]:.1e}/"
                   f"{row[12]:.1e}{flag}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with _writing(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(all_rows)
@@ -386,7 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--limit", type=int, default=4096)
     pm.add_argument("--trials", type=int, required=True)
     pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--resample-code", action="store_true", default=False)
+    pm.add_argument("--resample-code", action="store_true", default=False,
+                    help="draw a fresh generator for every trial (the "
+                         "ensemble the bounds describe, and TrialConfig's "
+                         "default); without it all trials share the "
+                         "generator drawn from --seed")
     pm.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     pm.add_argument("--trace-jsonl",
                     help="debug: write trial 0's pop-by-pop trace as JSON lines")

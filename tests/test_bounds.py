@@ -9,7 +9,7 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate, tau_distribution)
-from cort.bounds import _cle_curves
+from cort.bounds import _binom_pmfs, _cle_curves
 from reference_bounds import full_square_cle_curves
 
 
@@ -231,6 +231,18 @@ class TestTotalBound:
             v100 = d_e_g(prof, cm, 1e6, MomentTables(32, p, gamma,
                                                      chernoff_grid(100))).d_e_g
             assert v100 <= v10 + 1e-18
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 128, 512])
+@pytest.mark.parametrize("p", [1e-12, 0.02, 0.1, 0.3, 0.5])
+def test_binom_pmfs_match_scipy(n, p):
+    # row l is the Binom(l, p) pmf on 0..n; subnormal entries (below the
+    # smallest normal float) carry fewer significant bits than rtol asks
+    rows = _binom_pmfs(n, p)
+    ref = np.array([stats.binom.pmf(np.arange(n + 1), l, p)
+                    for l in range(n + 1)])
+    np.testing.assert_allclose(rows, ref, rtol=1e-12,
+                               atol=np.finfo(float).tiny)
 
 
 class TestExactCle:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cort import cli, decoder
-from cort.bounds import bound_memory_bytes
+from cort.bounds import RCU_MAX_N, bound_memory_bytes
 from cort.cli import main
 from cort.tree_code import load_profile
 
@@ -118,6 +119,21 @@ class TestBoundCommand:
         for record in records:
             doc = json.loads((record / "record.json").read_text())
             assert doc["output_path"] == str(record)
+
+    @pytest.mark.parametrize("n", [RCU_MAX_N, RCU_MAX_N + 1])
+    def test_rcu_only_up_to_its_size_limit(self, tmp_path, capsys, n):
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "bound", "--profile", "pure", "--n", str(n),
+                   "--k", "8", "--p", "0.05", "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        rcu = json.loads(out.read_text())["rcu_exact"]
+        if n <= RCU_MAX_N:
+            assert "rcu       = " in printed
+            assert 0 < rcu < 1
+        else:
+            assert "rcu" not in printed
+            assert rcu is None
+            assert '"rcu_exact": null' in out.read_text()
 
     def test_overflowing_bound_rejected(self, tmp_path, capsys):
         # the root term 2^k / L exceeds the largest float at k = 1100
@@ -371,6 +387,23 @@ class TestValidationLeavesNoPartialFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "folder"]
         assert not any((tmp_path / "folder").iterdir())
         assert blocker.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("argv", [
+    ["tables", "--paper-table", "1", "--out", "/dev/full"],
+    ["simulate", "--profile", "pure", "--n", "8", "--k", "3", "--p", "0.05",
+     "--limit", "64", "--trials", "2", "--threads", "1",
+     "--trace-jsonl", "/dev/full"],
+], ids=["tables-out", "simulate-trace-jsonl"])
+def test_failed_write_exits_2(tmp_path, capsys, argv):
+    # a write that fails after the work (here: no space left on the device)
+    # is a usage error naming the path, not a traceback
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot write /dev/full" in err
+    assert "Traceback" not in err
 
 
 # Trial 0's exact pop trace and the exact statistics of a fixed-code campaign

@@ -1,9 +1,10 @@
 """What a fresh `cort` process loads.
 
-`cort sbp` and a one-worker `cort simulate` never reach the two exact
-references, so they must load neither scipy (hundreds of modules and about a
-second of start-up) nor the process pool.  The exact references load scipy when
-called and still return their pinned values.
+numpy is the only runtime dependency: `cort sbp`, `cort bound`, a one-worker
+`cort simulate` and the two exact references (`d_cle_m_exact` and
+`rcu_exact_bsc`) must load no scipy (hundreds of modules and about a second of
+start-up), and the one-worker run no process pool.  The exact references still
+return their pinned values.
 """
 
 import json
@@ -28,18 +29,18 @@ codes = [
     cort.cli.main(["--results-dir", results, "simulate", "--profile", "pure",
                    "--n", "8", "--k", "3", "--p", "0.05", "--limit", "64",
                    "--trials", "20", "--seed", "1", "--threads", "1"]),
+    cort.cli.main(["--results-dir", results, "bound", "--profile", "pure",
+                   "--n", "16", "--k", "8", "--p", "0.05"]),
 ]
+cm = cort.CostModel(channel=cort.BscChannel(0.05), gamma=1.0, n=32)
+profile = cort.profile_from_s(32, 8, (6,) * 14 + (8,) * 18)
+exact = cort.d_cle_m_exact(profile, cm, 4096)
+rcu = cort.rcu_exact_bsc(2, 1, 0.1)
 loaded = sorted(name for name in sys.modules
                 if name == "scipy" or name.startswith("scipy.")
                 or name == "concurrent.futures.process")
-cm = cort.CostModel(channel=cort.BscChannel(0.05), gamma=1.0, n=32)
-profile = cort.profile_from_s(32, 8, (6,) * 14 + (8,) * 18)
-print(json.dumps({
-    "codes": codes,
-    "loaded": loaded,
-    "exact": cort.d_cle_m_exact(profile, cm, 4096),
-    "rcu": cort.rcu_exact_bsc(2, 1, 0.1),
-}))
+print(json.dumps({"codes": codes, "loaded": loaded, "exact": exact,
+                  "rcu": rcu}))
 """
 
 
@@ -49,8 +50,8 @@ def test_commands_load_neither_scipy_nor_the_pool(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout.splitlines()[-1])
-    assert doc["codes"] == [0, 0]
+    assert doc["codes"] == [0, 0, 0]
     assert doc["loaded"] == []
     # The values tests/test_sbp.py and tests/test_bounds.py pin.
-    assert doc["exact"] == 0.01759931167367981
+    assert doc["exact"] == 0.01759931167367979
     assert abs(doc["rcu"] - 0.3475) < 1e-12

@@ -261,4 +261,6 @@ class TestPinnedOutputs:
     def test_exact_cle_of_final_profile(self):
         cm, _ = setup(32, 0.05)
         prof = profile_from_s(32, 8, self.FINAL_S)
-        assert d_cle_m_exact(prof, cm, 4096) == 0.01759931167367981
+        exact = d_cle_m_exact(prof, cm, 4096)
+        assert type(exact) is float
+        assert exact == 0.01759931167367979
