@@ -12,35 +12,33 @@ Pop order is (cost, depth descending, prefix lexicographic): the cost key is
 the algorithm's; the depth-then-lexicographic tie-break is fixed here so
 that runs are deterministic and terminals win cost ties.
 
-The stack is kept in sorted-successor form (Jelinek 1969; Zigangirov 1966).
-Expanding a node computes its children's costs as one block and orders them
-by (cost, prefix); the heap holds one entry per expanded parent, its
-cheapest unpopped child with an iterator of the remaining children as
-(cost, index) pairs of Python numbers, and popping a child pushes the next
-pair the iterator yields.  The pops are exactly those of a heap holding
-every checked node, while the heap holds at most one entry per expanded
-node.  How a block is costed and ordered depends on its width; the pop
-loop sees only the iterator:
+Expanding a node computes its children's costs as one block, which
+reaches the heap in one of three ways by its width:
 
-- Narrow (at most 16 children, so every fanout-2 stage): the children's
-  segment costs come from one numpy product as Python floats, are added to
-  the parent's cost in Python and sorted as pairs, iterated as one list.
-  Within a decode the segment costs depend only on the parent's output bits
-  on the segment, so they are memoized per stage, keyed on those bits, when
-  the segment has at most 8 symbols.  The memo lives in one decode call:
-  trials that share a generator do not share a received word.
-- Sorted (17 to 4096 children): costed in one product and fully argsorted
-  by numpy; a generator converts the order to pairs 4 at a time as they
-  are reached.
+- Narrow (at most 8 children, so every fanout-2 stage): every child is
+  pushed as its own heap entry.  The segment costs come from one numpy
+  product as Python floats, added to the parent's cost in Python.  They
+  depend only on the parent's output bits on the segment, so they are
+  memoized per stage and decode, keyed on those bits, when the segment
+  has at most 8 symbols (trials that share a generator do not share y).
+- Sorted (9 to 4096 children): costed in one product and argsorted by
+  numpy.  Only the cheapest child is pushed, with a generator that yields
+  the rest as (cost, index) pairs, converted 4 at a time; popping a
+  child pushes the next (Jelinek 1969; Zigangirov 1966).
 - Lazy slices (more than 4096, such as the 2^21-child root at the paper's
-  design point): costed a 4096-row chunk at a time from a table of the
-  last 12 suffix bits and one of the others, and ordered in slices, the
-  cheapest 256 children with all their ties, then the next 512, and so
-  on, each taken only when the generator runs out of the previous one,
-  since a decode pops only a few children of a wide block.
+  design point): as sorted, but costed a 4096-row chunk at a time from a
+  table of the last 12 suffix bits and one of the others, and ordered in
+  slices, the cheapest 256 children with all their ties, then the next
+  512, and so on, each taken only when the generator runs out of the
+  previous one, since a decode pops only a few children of a wide block.
 
-Each way gives the same costs to the bit (Python's float addition is the
-IEEE addition numpy does) and the same order as a stable argsort.
+The heap so holds one entry per checked narrow child and one per expanded
+wider parent.  Its keys (cost, -depth, prefix) are distinct, since a
+prefix is unique at its depth, and every way gives the same costs to the
+bit (Python's float addition is the IEEE addition numpy does) and yields
+siblings in stable (cost, index) order, so the pops are exactly those of
+a heap of every checked node.  An expansion's cheapest child is held back
+and enters by heappushpop at the next pop, with no sift if it is cheapest.
 
 Prefixes are packed into Python ints with the first message bit most
 significant, so at equal depth integer order is lexicographic order; they
@@ -52,21 +50,19 @@ row shifted down to the prefix's length.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappush, heappushpop
 
 import numpy as np
 
 from .measure import CostModel
 from .tree_code import GeneratorMatrix, TreeProfile
 
-# Peak memory a decode holds per checked node, measured as peak RSS growth
-# over 4e5 checks on a fanout-2 staircase that gives up (171 to 185 B).
-# Fanout 2 is the worst case: each expansion keeps a heap entry and an
-# iterator over a list of (cost, index) pairs for only two children.
-# Measured the same way, 4- to 16-child blocks need 176 to 127 B a check,
-# 32-child ones 63 B and 1024-child ones 17 B.
-BYTES_PER_CHECK = 208
+# Peak memory a decode holds per checked node, with a 12% margin, measured
+# as peak RSS growth over 4e5 checks on (128, 64) staircases that give up:
+# 91 B at fanout 2, 123 B at 4, 139 B at 8 (the worst: each child is a
+# heap entry, and few are popped), 115 B at 16, 66 B at 16 and 32 mixed.
+BYTES_PER_CHECK = 156
 
 # A sibling block of more than _CHUNK_ROWS children is costed one
 # _CHUNK_ROWS-row chunk at a time and ordered in slices, the first of the
@@ -75,15 +71,15 @@ BYTES_PER_CHECK = 208
 _CHUNK_BITS = 12
 _CHUNK_ROWS = 1 << _CHUNK_BITS
 _FIRST_SLICE = 256
-# A block of at most _NARROW children is ordered as one sorted list of
-# (cost, index) pairs of Python numbers, which at its size is faster than
-# numpy's per-call overhead.  A wider block's numpy order is converted
-# _PAGE pairs at a time as they are reached, which holds less than longer
-# pages while its iterator waits on the heap.  A narrow block's
-# segment costs are memoized per decode, keyed on the parent's output bits,
-# when the segment has at most _MEMO_SYMBOLS symbols, so that its memo
-# holds at most 2^_MEMO_SYMBOLS entries.
-_NARROW = 16
+# Every child of a block of at most _NARROW children is pushed onto the
+# heap, which at its size is faster than numpy's per-call overhead and than
+# an iterator per block.  A wider block's numpy order is converted _PAGE
+# pairs at a time as they are reached, which holds less than longer pages
+# while its iterator waits on the heap.  A narrow block's segment costs are
+# memoized per decode, keyed on the parent's output bits, when the segment
+# has at most _MEMO_SYMBOLS symbols, so that its memo holds at most
+# 2^_MEMO_SYMBOLS entries.
+_NARROW = 8
 _PAGE = 4
 _MEMO_SYMBOLS = 8
 
@@ -93,10 +89,11 @@ class DecodeOutcome:
     """Decoder result: the message (None when the decoder gave up), the final
     node-check count, and the peak stack size.
 
-    max_stack_size is the peak number of checked but not yet popped nodes
-    (node checks minus pops, taken after each expansion).  It is the size
-    a stack holding every checked node would reach; the decoder computes it
-    rather than materializing such a stack.
+    max_stack_size is the peak number of checked but not yet popped nodes:
+    node checks minus pops, which each expansion raises by c_h - 1 > 0, so
+    its value after the last expansion.  It is the size a stack holding
+    every checked node would reach; the decoder computes it rather than
+    materializing such a stack.
     """
 
     result: tuple | None
@@ -268,51 +265,53 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
         raise ValueError(
             f"limit {limit} cannot cover the root expansion (c_0 = {c0})")
 
-    k = prof.k
-    levels, r = prof.levels, prof.ends
-    fanout = prof.branch_fanout
+    k, levels, r, fanout = prof.k, prof.levels, prof.ends, prof.branch_fanout
     packed = _pack_rows(g.bits)
     blocks = [None] * prof.num_stages
     heap = []
 
-    def expand(prefix: int, stage: int, cost: float) -> None:
-        """Check the children of a stage-`stage` node and push its cheapest
-        child with the children's prefix base and an iterator of the rest
-        as (cost, index) pairs, cheapest first."""
+    def expand(prefix: int, stage: int, cost: float) -> tuple:
+        """Check a stage-`stage` node's children, push all of a narrow
+        block's but the cheapest, and return the cheapest's heap entry: its
+        cursor is None, or for a wider block (base, iterator of the rest)."""
         if blocks[stage] is None:
             blocks[stage] = _stage_block(g, cm, y, packed, r[stage],
                                          r[stage + 1], levels[stage],
                                          levels[stage + 1])
         low, high, parent_rows, y_seg, weights, memo = blocks[stage]
-        parent_out = [(row & prefix).bit_count() & 1 for row in parent_rows]
+        parent_out = tuple([(row & prefix).bit_count() & 1
+                            for row in parent_rows])
+        base = prefix << (levels[stage + 1] - levels[stage])
+        neg_depth = -levels[stage + 1]
         if len(low) <= _NARROW:
-            key = tuple(parent_out)
-            seg = None if memo is None else memo.get(key)
+            seg = None if memo is None else memo.get(parent_out)
             if seg is None:
                 target = y_seg ^ np.array(parent_out, dtype=np.uint8)
-                seg = list(enumerate(((low != target) @ weights).tolist()))
+                seg = sorted(zip(((low != target) @ weights).tolist(),
+                                 range(len(low))))
                 if memo is not None:
-                    memo[key] = seg
-            successors = iter(sorted([(cost + s, i) for i, s in seg]))
+                    memo[parent_out] = seg
+            for s, i in seg[1:]:
+                heappush(heap, (cost + s, neg_depth, base | i, stage + 1,
+                                None))
+            s, i = seg[0]
+            return cost + s, neg_depth, base | i, stage + 1, None
+        target = y_seg ^ np.array(parent_out, dtype=np.uint8)
+        if high is not None:
+            costs = _chunked_costs(low, high, target, weights, cost)
+            order, rest = _next_slice(costs, None, _FIRST_SLICE)
         else:
-            target = y_seg ^ np.array(parent_out, dtype=np.uint8)
-            if high is not None:
-                costs = _chunked_costs(low, high, target, weights, cost)
-                order, rest = _next_slice(costs, None, _FIRST_SLICE)
-            else:
-                costs = cost + (low != target) @ weights
-                order, rest = costs.argsort(kind="stable"), None
-            successors = _wide_successors(costs, order, rest)
-        first_cost, first = next(successors)
-        base = prefix << (levels[stage + 1] - levels[stage])
-        heapq.heappush(heap, (first_cost, -levels[stage + 1], base | first,
-                              stage + 1, base, successors))
+            costs = cost + (low != target) @ weights
+            order, rest = costs.argsort(kind="stable"), None
+        cursor = base, _wide_successors(costs, order, rest)
+        first_cost, first = next(cursor[1])
+        return first_cost, neg_depth, base | first, stage + 1, cursor
 
-    expand(0, 0, 0.0)
-    nodes_checked = max_stack = c0
+    held = expand(0, 0, 0.0)
+    nodes_checked = c0
     pops = 0
     while nodes_checked <= limit:
-        cost, neg_depth, prefix, stage, base, successors = heapq.heappop(heap)
+        cost, neg_depth, prefix, stage, cursor = heappushpop(heap, held)
         pops += 1
         if trace is not None:
             trace.append({"iteration": pops,
@@ -322,15 +321,16 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
         if -neg_depth == k:
             return DecodeOutcome(result=_unpack(prefix, k),
                                  nodes_checked=nodes_checked,
-                                 max_stack_size=max_stack)
-        sibling = next(successors, None)
-        if sibling is not None:
-            heapq.heappush(heap, (sibling[0], neg_depth, base | sibling[1],
-                                  stage, base, successors))
-        expand(prefix, stage, cost)
+                                 max_stack_size=nodes_checked - pops + 1)
+        if cursor is not None:
+            base, successors = cursor
+            sibling = next(successors, None)
+            if sibling is not None:
+                heappush(heap, (sibling[0], neg_depth, base | sibling[1],
+                                stage, cursor))
+        held = expand(prefix, stage, cost)
         nodes_checked += fanout[stage]
-        max_stack = max(max_stack, nodes_checked - pops)
 
     return DecodeOutcome(result=None, nodes_checked=nodes_checked,
-                         max_stack_size=max_stack)
+                         max_stack_size=nodes_checked - pops)
 

@@ -180,13 +180,16 @@ class TestMatchesEagerReference:
     STAIRCASE = profile_from_arrivals(32, [1 + (3 * j) // 2 for j in range(16)])
     WIDE_ROOT = profile_from_arrivals(
         64, [1] * 12 + [14 + 3 * (j // 2) for j in range(20)])
+    # the perfbench deep-128x64 profile: fanout 2 at all 64 stages
+    DEEP = profile_from_arrivals(128, [1 + (3 * j) // 2 for j in range(64)])
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     @pytest.mark.parametrize("prof,p,limit,seeds", [
         (SBP_32X8, 0.1, 160, 400),
         (STAIRCASE, 0.06, 400, 200),
         (WIDE_ROOT, 0.05, 5000, 25),
-    ], ids=["sbp-32x8", "staircase", "wide-root"])
+        (DEEP, 0.02, 5000, 30),
+    ], ids=["sbp-32x8", "staircase", "wide-root", "deep-128x64"])
     def test_outcomes_and_traces_identical(self, prof, p, limit, seeds, gamma):
         cm = model(p=p, gamma=gamma, n=prof.n)
         giveups = 0
@@ -238,10 +241,10 @@ class TestMatchesEagerReference:
         assert past_first_slice > 0
 
 
-    # stage 1 has 64 children on a 2-symbol segment, so they share at most
+    # stage 1 has 32 children on a 2-symbol segment, so they share at most
     # four costs and at p = 0.2 many decodes pop every child of such a
     # numpy-ordered block before a terminal
-    DRAINED = profile_from_s(24, 8, [1] + [7] * 2 + [8] * 21)
+    DRAINED = profile_from_s(24, 8, [1] + [6] * 2 + [8] * 21)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     def test_drained_wide_block(self, gamma):
@@ -263,10 +266,10 @@ class TestMatchesEagerReference:
         assert drained > 0
 
     # multi-symbol segments on every narrow stage; stage 5 has exactly
-    # decoder._NARROW = 16 children and stage 7 twice as many, the first
-    # block costed and ordered by numpy
+    # decoder._NARROW = 8 children, each pushed onto the heap, and stage 7
+    # twice as many, the narrowest block costed and ordered by numpy
     NARROW = profile_from_arrivals(
-        40, [1, 1, 4, 7, 7, 10] + [13] * 4 + [17] + [20] * 5
+        40, [1, 1, 4, 7, 7, 10] + [13] * 3 + [17] + [20] * 4
         + [24, 27, 27, 30, 34, 37])
 
     def test_narrow_blocks(self):

@@ -3,8 +3,9 @@
 numpy is the only runtime dependency: `cort sbp`, `cort bound`, a one-worker
 `cort simulate` and the two exact references (`d_cle_m_exact` and
 `rcu_exact_bsc`) must load no scipy (hundreds of modules and about a second of
-start-up), and the one-worker run no process pool.  The exact references still
-return their pinned values.
+start-up), and the one-worker run no process pool.  `import cort, cort.cli`
+alone must not load numpy.random either, which the first random stream
+loads.  The exact references still return their pinned values.
 """
 
 import json
@@ -22,6 +23,7 @@ sys.path.insert(0, sys.argv[1])
 import cort
 import cort.cli
 
+random_at_import = "numpy.random" in sys.modules
 results = sys.argv[2]
 codes = [
     cort.cli.main(["--results-dir", results, "sbp", "--n", "12", "--k", "4",
@@ -40,7 +42,7 @@ loaded = sorted(name for name in sys.modules
                 if name == "scipy" or name.startswith("scipy.")
                 or name == "concurrent.futures.process")
 print(json.dumps({"codes": codes, "loaded": loaded, "exact": exact,
-                  "rcu": rcu}))
+                  "rcu": rcu, "random_at_import": random_at_import}))
 """
 
 
@@ -52,6 +54,7 @@ def test_commands_load_neither_scipy_nor_the_pool(tmp_path):
     doc = json.loads(done.stdout.splitlines()[-1])
     assert doc["codes"] == [0, 0, 0]
     assert doc["loaded"] == []
+    assert doc["random_at_import"] is False
     # The values tests/test_sbp.py and tests/test_bounds.py pin.
     assert doc["exact"] == 0.01759931167367979
     assert abs(doc["rcu"] - 0.3475) < 1e-12
