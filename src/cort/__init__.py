@@ -5,8 +5,7 @@ optimization, a give-up stack decoder, and Monte Carlo validation."""
 __version__ = "0.1.0"
 
 from .bounds import (BoundReport, MomentTables, chernoff_grid, d_cle_m_exact,
-                     d_e_g, gallager_reference_bsc, rcu_exact_bsc,
-                     tau_distribution)
+                     d_e_g, gallager_reference_bsc, rcu_exact_bsc)
 from .channel import BscChannel, transmit
 from .decoder import DecodeOutcome, ssdgu_decode
 from .measure import CostModel, check_aec, prefix_cost
@@ -16,7 +15,7 @@ from .sbp import SbpStep, SbpTrace, candidate_sweep, sbp_optimize
 from .tree_code import (GeneratorMatrix, ProfileError, TreeProfile, encode,
                         load_profile, profile_from_arrivals,
                         profile_from_json_dict, profile_from_s,
-                        pure_random_profile, sample_generator, save_profile)
+                        pure_random_profile, sample_generator)
 
 __all__ = [
     "BoundReport", "BscChannel", "CostModel", "DecodeOutcome",
@@ -27,6 +26,5 @@ __all__ = [
     "ml_consistency_check", "ml_oracle", "prefix_cost",
     "profile_from_arrivals", "profile_from_json_dict", "profile_from_s",
     "pure_random_profile", "rcu_exact_bsc", "sample_generator",
-    "save_profile", "sbp_optimize", "simulate", "ssdgu_decode",
-    "tau_distribution", "transmit",
+    "sbp_optimize", "simulate", "ssdgu_decode", "transmit",
 ]

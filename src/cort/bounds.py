@@ -23,7 +23,8 @@ cases that pin them down):
   tighter and keeps the grid minimum away from the degenerate varrho = 0
   corner.
 
-Reported values are raw (unclipped) sums; presentation layers clip to 1.
+Reported values are raw (unclipped) sums; presentation layers clip to 1
+(the `*_clipped` keys of `BoundReport.to_json_dict`).
 """
 
 from __future__ import annotations
@@ -136,13 +137,6 @@ def _agreement(levels: np.ndarray):
     return through, through[:, :-1] - through[:, 1:]
 
 
-def tau_distribution(profile: TreeProfile) -> np.ndarray:
-    """Full-depth agreement-stage distribution over h = 0..h_f; the terminal
-    entry 2^-k is the probability the competitor equals the message."""
-    _, tau = _agreement(np.array([profile.levels]))
-    return np.append(tau[0], 2.0 ** -profile.k)
-
-
 def _triangle(levels: np.ndarray):
     """The T = h_f (h_f + 1) / 2 terms h' <= h of the computation-limit
     bound of B profiles with h_f stages, row by row: their stage pairs h
@@ -187,11 +181,12 @@ def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
         np.exp2(terms, out=terms)
         # probability-one rows: root (0, 0) and agreeing diagonal (h, h)
         terms[diag] = np.exp2(log_v + log_tau[:, diag]).T[..., None]
-    # numpy reduces this outer axis sequentially, so each (b, g) entry is
-    # summed in the same order, (h, h') row by row, whatever the batch.
-    # The h' > h terms, where tau = 0, are exp2(-inf) = 0 and x + 0.0 == x,
-    # so they are not evaluated: the sums equal those over the full square.
-    return terms.sum(axis=0)
+        # numpy reduces this outer axis sequentially, so each (b, g) entry
+        # is summed in the same order, (h, h') row by row, whatever the
+        # batch.  The h' > h terms, where tau = 0, are exp2(-inf) = 0 and
+        # x + 0.0 == x, so they are not evaluated: the sums equal those
+        # over the full square.
+        return terms.sum(axis=0)
 
 
 def _cfe_curves(levels: np.ndarray, ends: np.ndarray, k: int,
@@ -234,8 +229,8 @@ def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated bound pair with the attaining grid values and the full
-    configuration echoed.  Values are raw; `*_clipped` clip to 1 for
-    presentation."""
+    configuration echoed.  Values are raw; the `*_clipped` keys of the JSON
+    form clip them to 1."""
 
     d_cle_g: float
     d_cfe_g: float
@@ -247,18 +242,6 @@ class BoundReport:
     gamma: float
     limit: float
 
-    @property
-    def d_cle_g_clipped(self) -> float:
-        return min(self.d_cle_g, 1.0)
-
-    @property
-    def d_cfe_g_clipped(self) -> float:
-        return min(self.d_cfe_g, 1.0)
-
-    @property
-    def d_e_g_clipped(self) -> float:
-        return min(self.d_e_g, 1.0)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.profile.n,
@@ -269,9 +252,9 @@ class BoundReport:
             "d_cle_g": self.d_cle_g,
             "d_cfe_g": self.d_cfe_g,
             "d_e_g": self.d_e_g,
-            "d_cle_g_clipped": self.d_cle_g_clipped,
-            "d_cfe_g_clipped": self.d_cfe_g_clipped,
-            "d_e_g_clipped": self.d_e_g_clipped,
+            "d_cle_g_clipped": min(self.d_cle_g, 1.0),
+            "d_cfe_g_clipped": min(self.d_cfe_g, 1.0),
+            "d_e_g_clipped": min(self.d_e_g, 1.0),
             "varrho_star": self.varrho_star,
             "rho_star": self.rho_star,
             "profile": self.profile.to_json_dict(),
@@ -322,15 +305,15 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
         raise ValueError("exact evaluation requires gamma = 1")
     _check_limit(limit)
     n = profile.n
-    r, levels = profile.ends, profile.levels
-    hh, hp, tau = _triangle(np.array([levels]))
+    r, levels = np.array(profile.ends), np.array([profile.levels])
+    hh, hp, tau = _triangle(levels)
     # P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p))
     P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
-    total = 0.0
-    for i, (h, h_prime) in enumerate(zip(hh.tolist(), hp.tolist())):
-        v = 2.0 ** float(levels[h + 1]) / limit
-        total += v * tau[0, i] * P[r[h] - r[h_prime], n - r[h_prime]]
-    return float(total)
+    with np.errstate(over="ignore"):  # levels above 1023 give inf
+        v = np.ldexp(1.0, levels[0, hh + 1]) / limit
+    terms = v * tau[0] * P[r[hh] - r[hp], n - r[hp]]
+    # cumsum adds in (h, h') row order, one term at a time
+    return float(np.cumsum(terms)[-1])
 
 
 def rcu_exact_bsc(n: int, k: int, p: float) -> float:
@@ -342,9 +325,13 @@ def rcu_exact_bsc(n: int, k: int, p: float) -> float:
     """
     if n > RCU_MAX_N:
         raise ValueError(f"rcu_exact_bsc needs n <= {RCU_MAX_N} so that "
-                         f"2^k - 1 and 2^-n stay inside float64, got n = {n}")
+                         f"2^-n stays inside float64, got n = {n}")
     beat = np.cumsum(_binom_pmfs(n, 0.5)[n])
-    return float(_binom_pmfs(n, p)[n] @ np.minimum(1.0, (2.0 ** k - 1) * beat))
+    # 2^k - 1 saturates to inf above k = 1023; as beat >= 2^-n, the clip to
+    # 1 is then exact
+    with np.errstate(over="ignore"):
+        union = (np.ldexp(1.0, k) - 1.0) * beat
+    return float(_binom_pmfs(n, p)[n] @ np.minimum(1.0, union))
 
 
 def gallager_reference_bsc(n: int, k: int, p: float, rho_grid=None) -> float:

@@ -18,9 +18,9 @@ import sys
 import time
 
 from . import __version__
-from .bounds import (CSV_HEADER, RCU_MAX_N, MomentTables, bound_memory_bytes,
-                     chernoff_grid, d_e_g, gallager_reference_bsc,
-                     rcu_exact_bsc)
+from .bounds import (CSV_HEADER, DEFAULT_GRID_POINTS, RCU_MAX_N, MomentTables,
+                     bound_memory_bytes, chernoff_grid, d_e_g,
+                     gallager_reference_bsc, rcu_exact_bsc)
 from .channel import BscChannel
 from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
 from .measure import CostModel
@@ -173,6 +173,19 @@ def _validate_channel(args):
         raise CliError(f"--gamma must be in (0, 1], got {args.gamma}")
 
 
+def _require_finite(docs, n: int, k: int, limit: float):
+    """Reject, before anything is printed or written, results whose float
+    fields in the dicts `docs` are not finite, naming each such field."""
+    overflowed = list(dict.fromkeys(
+        name for doc in docs for name, value in doc.items()
+        if isinstance(value, float) and not math.isfinite(value)))
+    if overflowed:
+        raise CliError(
+            f"{', '.join(overflowed)} not finite at n = {n}, k = {k}, "
+            f"--limit {limit}: a term exceeds the floating-point range; "
+            f"raise --limit or use fewer bits per stage")
+
+
 def cmd_bound(args) -> int:
     _validate_channel(args)
     if args.profile == "pure" and args.n is not None:
@@ -192,13 +205,7 @@ def cmd_bound(args) -> int:
     payload = report.to_json_dict()
     payload["rcu_exact"] = rcu
     payload["gallager_reference"] = gallager
-    overflowed = [name for name, value in payload.items()
-                  if isinstance(value, float) and not math.isfinite(value)]
-    if overflowed:
-        raise CliError(
-            f"{', '.join(overflowed)} not finite at n = {prof.n}, k = {prof.k}, "
-            f"--limit {args.limit}: a term exceeds the floating-point range; "
-            f"raise --limit or use fewer bits per stage")
+    _require_finite([payload], prof.n, prof.k, args.limit)
     print(f"d_cle_g   = {report.d_cle_g:.3e}   (varrho* = {report.varrho_star:.4f})")
     print(f"d_cfe_g   = {report.d_cfe_g:.3e}   (rho*    = {report.rho_star:.4f})")
     print(f"d_e_g     = {report.d_e_g:.3e}")
@@ -221,6 +228,8 @@ def cmd_sbp(args) -> int:
     tables = MomentTables(args.n, args.p, args.gamma,
                           chernoff_grid(args.grid_points))
     trace = sbp_optimize(args.n, args.k, cm, args.limit, tables)
+    payload = trace.to_json_dict()
+    _require_finite(payload["steps"], args.n, args.k, args.limit)
     print(f"{'step':>4} {'pos':>4} {'d_e_g':>12} {'d_cle_g':>12} {'d_cfe_g':>12}")
     for st in trace.steps:
         print(f"{st.step:>4} {st.position:>4} {st.d_e_g:>12.3e} "
@@ -228,8 +237,8 @@ def cmd_sbp(args) -> int:
     if args.out_profile:
         _write_json(args.out_profile, trace.final_profile.to_json_dict())
     if args.out_trace:
-        _write_json(args.out_trace, trace.to_json_dict())
-    write_run_record(args, "sbp", _echo(args), trace.to_json_dict())
+        _write_json(args.out_trace, payload)
+    write_run_record(args, "sbp", _echo(args), payload)
     return 0
 
 
@@ -305,15 +314,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def table_rows(table: int, grid_points: int = 10):
+def table_rows(table: int, grid_points: int = DEFAULT_GRID_POINTS):
     """Reproduce one reference table: per-column profile optimization and
     bound evaluation, with the printed values and their additive check."""
     ref = REFERENCE_TABLES[table]
     p, gamma = ref["p"], ref["gamma"]
+    cm = CostModel(channel=BscChannel(p), gamma=gamma, n=REFERENCE_N)
+    tables = MomentTables(REFERENCE_N, p, gamma, chernoff_grid(grid_points))
     rows = []
     for i, limit in enumerate(REFERENCE_LIMITS):
-        cm = CostModel(channel=BscChannel(p), gamma=gamma, n=REFERENCE_N)
-        tables = MomentTables(REFERENCE_N, p, gamma, chernoff_grid(grid_points))
         trace = sbp_optimize(REFERENCE_N, REFERENCE_K, cm, limit, tables)
         report = d_e_g(trace.final_profile, cm, limit, tables)
         printed_sum = ref["d_cle_g"][i] + ref["d_cfe_g"][i]
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--p", type=float)
     pb.add_argument("--gamma", type=float, default=1.0)
     pb.add_argument("--limit", type=float, default=1e9)
-    pb.add_argument("--grid-points", type=int, default=10)
+    pb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_bound)
 
@@ -381,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", type=float)
     ps.add_argument("--gamma", type=float, default=1.0)
     ps.add_argument("--limit", type=float, default=1e9)
-    ps.add_argument("--grid-points", type=int, default=10)
+    ps.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     ps.add_argument("--out-profile")
     ps.add_argument("--out-trace")
     ps.set_defaults(func=cmd_sbp)
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tables", help="reproduce the reference tables as CSV")
     pt.add_argument("--paper-table", type=int, choices=[1, 2, 3, 4])
-    pt.add_argument("--grid-points", type=int, default=10)
+    pt.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     pt.add_argument("--out")
     pt.set_defaults(func=cmd_tables)
     return parser

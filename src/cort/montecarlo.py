@@ -20,6 +20,8 @@ from .measure import CostModel, prefix_cost
 from .streams import MESSAGE_STREAM, stream
 from .tree_code import GeneratorMatrix, TreeProfile, encode, sample_generator
 
+Z_95 = 1.959964  # two-sided 95% standard normal quantile
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -68,10 +70,11 @@ class SimStats:
         return asdict(self)
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
+def wilson_halfwidth(successes: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for a binomial rate."""
     if trials == 0:
         return 0.0
+    z = Z_95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     halfwidth = z * math.sqrt(phat * (1.0 - phat) / trials
@@ -157,7 +160,7 @@ def simulate(config: TrialConfig, workers: int = 1) -> SimStats:
     errors = giveups + wrong
     mean_nc = nc_sum / trials
     var_nc = max(0.0, nc_sq_sum / trials - mean_nc * mean_nc)
-    mean_ci = 1.959964 * math.sqrt(var_nc / trials)
+    mean_ci = Z_95 * math.sqrt(var_nc / trials)
     return SimStats(
         trials=trials,
         giveup_count=giveups,

@@ -14,7 +14,6 @@ a TreeProfile, for the next step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,9 +56,6 @@ class SbpTrace:
             ],
             "final_profile": self.final_profile.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 class Sweep(NamedTuple):

@@ -142,12 +142,6 @@ def load_profile(path) -> TreeProfile:
         return profile_from_json_dict(json.load(fh))
 
 
-def save_profile(profile: TreeProfile, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(profile.to_json_dict(), fh)
-        fh.write("\n")
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """One sampled generator: n x k binary matrix with staircase support.

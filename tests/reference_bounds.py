@@ -1,11 +1,15 @@
-"""Reference computation-limit curves over the full (h, h') square.
+"""Reference forms of the computation-limit bound, kept so that tests can
+require the evaluations in `cort.bounds` to return the same bytes.
 
-This is the form that `cort.bounds._cle_curves` replaced: it evaluates every
-(h, h') term, including the h' > h terms that are exp2(-inf) = 0, and
-overwrites the diagonal after the exponential.  It is kept only so that
-tests can require the triangular evaluation to return the same bytes, and
-it builds its own agreement probabilities and tau matrix from 2^-levels, so
-it shares no code with the triangle it checks.
+`full_square_cle_curves` is the form that `cort.bounds._cle_curves`
+replaced: it evaluates every (h, h') term, including the h' > h terms that
+are exp2(-inf) = 0, and overwrites the diagonal after the exponential.  It
+builds its own agreement probabilities and tau matrix from 2^-levels, so it
+shares no code with the triangle it checks.
+
+`term_loop_cle_m_exact` is the term-by-term loop that `d_cle_m_exact`'s
+gather replaced; it shares its inputs, `_triangle` and `_binom_pmfs`, and
+checks only the gather and the summation order.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import numpy as np
 
 from cort import MomentTables
+from cort.bounds import _binom_pmfs, _triangle
 
 
 def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
@@ -48,3 +53,16 @@ def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
         np.exp2(terms, out=terms)
         terms[diag, diag] = np.exp2(log_v + log_tau[:, diag, diag]).T[..., None]
     return terms.sum(axis=(0, 1))
+
+
+def term_loop_cle_m_exact(profile, cm, limit: float) -> float:
+    """`d_cle_m_exact`, one Python float term at a time, (h, h') row by
+    row."""
+    n, r, levels = profile.n, profile.ends, profile.levels
+    hh, hp, tau = _triangle(np.array([levels]))
+    P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
+    total = 0.0
+    for i, (h, h_prime) in enumerate(zip(hh.tolist(), hp.tolist())):
+        v = 2.0 ** float(levels[h + 1]) / limit
+        total += v * tau[0, i] * P[r[h] - r[h_prime], n - r[h_prime]]
+    return float(total)

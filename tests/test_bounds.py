@@ -8,9 +8,9 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   TrialConfig, chernoff_grid, d_cle_m_exact, d_e_g,
                   gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
-                  sbp_optimize, simulate, tau_distribution)
-from cort.bounds import _binom_pmfs, _cle_curves
-from reference_bounds import full_square_cle_curves
+                  sbp_optimize, simulate)
+from cort.bounds import _agreement, _binom_pmfs, _cle_curves, _triangle
+from reference_bounds import full_square_cle_curves, term_loop_cle_m_exact
 
 
 def model(p, gamma, n):
@@ -63,14 +63,30 @@ class TestMomentTables:
 
 
 class TestTauDistributions:
+    """The agreement probabilities the bounds read: `_agreement`'s
+    last-agreement stages h = 0..h_f-1 and the terminal mass 2^-k of a
+    competitor equal to the message form one distribution, and `_triangle`
+    gives term (h, h') Pr(last agreement at h') below the diagonal and the
+    tail mass of agreeing through stage h on it."""
+
+    @staticmethod
+    def distribution(prof):
+        _, tau = _agreement(np.array([prof.levels]))
+        return np.append(tau[0], 2.0 ** -prof.k)
+
     def test_two_stage_profile(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
-        assert np.allclose(tau_distribution(prof), [0.5, 0.25, 0.25])
+        assert np.allclose(self.distribution(prof), [0.5, 0.25, 0.25])
+        hh, hp, tri = _triangle(np.array([prof.levels]))
+        assert (hh.tolist(), hp.tolist()) == ([0, 1, 1], [0, 0, 1])
+        assert np.allclose(tri, [[1.0, 0.5, 0.5]])
 
     def test_pure_random(self):
         prof = pure_random_profile(8, 4)
-        dist = tau_distribution(prof)
+        dist = self.distribution(prof)
         assert np.allclose(dist, [1 - 2.0 ** -4, 2.0 ** -4])
+        # the root term carries unit mass
+        assert _triangle(np.array([prof.levels]))[2].tolist() == [[1.0]]
 
     def test_random_profiles_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -78,7 +94,12 @@ class TestTauDistributions:
             n = int(rng.integers(2, 17))
             k = int(rng.integers(1, n + 1))
             prof = random_profile(rng, n, k)
-            assert math.isclose(tau_distribution(prof).sum(), 1.0, abs_tol=1e-12)
+            dist = self.distribution(prof)
+            assert math.isclose(dist.sum(), 1.0, abs_tol=1e-12)
+            hh, hp, tri = _triangle(np.array([prof.levels]))
+            tail = np.cumsum(dist[::-1])[::-1]
+            expected = np.where(hh == hp, tail[hh], dist[hp])
+            np.testing.assert_allclose(tri[0], expected, rtol=1e-12, atol=0)
 
 
 class TestCleBound:
@@ -215,9 +236,15 @@ class TestTotalBound:
         cm = model(0.2, 1.0, 8)
         report = d_e_g(prof, cm, 8, MomentTables(8, 0.2, 1.0))
         assert report.d_cle_g > 1.0  # c_0/L = 8 at this budget
-        assert report.d_cle_g_clipped == 1.0
         doc = report.to_json_dict()
+        assert list(doc) == ["n", "k", "p", "gamma", "limit", "d_cle_g",
+                             "d_cfe_g", "d_e_g", "d_cle_g_clipped",
+                             "d_cfe_g_clipped", "d_e_g_clipped",
+                             "varrho_star", "rho_star", "profile"]
         assert doc["d_cle_g"] == report.d_cle_g
+        for name in ("d_cle_g", "d_cfe_g", "d_e_g"):
+            assert doc[f"{name}_clipped"] == min(doc[name], 1.0)
+        assert doc["d_cle_g_clipped"] == 1.0
         assert doc["profile"]["s"] == list(prof.s)
         row = report.csv_row()
         assert row[0:2] == [8, 6] and row[4] == 8.0
@@ -258,6 +285,21 @@ class TestExactCle:
         cm = model(0.03, 1.0, 4)
         assert math.isclose(d_cle_m_exact(prof, cm, 16), 0.2885812753125,
                             rel_tol=1e-10)
+
+    def test_matches_term_loop(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            n = int(rng.integers(1, 33))
+            prof = random_profile(rng, n, int(rng.integers(1, n + 1)))
+            cm = model(float(rng.uniform(0.01, 0.3)), 1.0, n)
+            limit = float(rng.choice([1, 64, 4096, 1e9]))
+            exact = d_cle_m_exact(prof, cm, limit)
+            assert exact == term_loop_cle_m_exact(prof, cm, limit)
+
+    def test_levels_beyond_float_range(self):
+        # 2^1100 / L exceeds the largest float, so the bound is inf
+        prof = pure_random_profile(16, 1100)
+        assert d_cle_m_exact(prof, model(0.05, 1.0, 16), 1e9) == math.inf
 
     def test_requires_unit_gamma(self):
         prof = pure_random_profile(4, 2)
@@ -345,6 +387,10 @@ class TestRcu:
             rcu = rcu_exact_bsc(128, 64, p)
             assert rcu <= cfe
             assert rcu <= gallager_reference_bsc(128, 64, p)
+
+    def test_union_beyond_float_range(self):
+        # 2^1100 - 1 saturates to inf and every term clips to 1
+        assert math.isclose(rcu_exact_bsc(16, 1100, 0.05), 1.0, rel_tol=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

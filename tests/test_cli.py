@@ -135,6 +135,12 @@ class TestBoundCommand:
             assert rcu is None
             assert '"rcu_exact": null' in out.read_text()
 
+    def test_rcu_beyond_float_range(self, tmp_path, capsys):
+        # 2^k - 1 exceeds the largest float at k = 1100; the union clips to 1
+        assert run(tmp_path, "bound", "--profile", "pure", "--n", "16",
+                   "--k", "1100", "--p", "0.05", "--limit", "1e300") == 0
+        assert "rcu       = 1.000e+00" in capsys.readouterr().out
+
     def test_overflowing_bound_rejected(self, tmp_path, capsys):
         # the root term 2^k / L exceeds the largest float at k = 1100
         out = tmp_path / "report.json"
@@ -174,6 +180,20 @@ class TestSbpCommand:
     def test_invalid_sizes_and_limit(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "sbp", "--p", "0.1", *argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_overflowing_bound_rejected(self, tmp_path, capsys):
+        # from step 1023 on, a term 2^level / L exceeds the largest float
+        trace = tmp_path / "trace.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, "sbp", "--n", "2", "--k", "1030",
+                       "--p", "0.05", "--limit", "1",
+                       "--out-trace", str(trace)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: d_e_g, d_cle_g not finite")
+        assert not trace.exists()
         assert not (tmp_path / "results").exists()
 
     def test_huge_budget_concentrates(self, tmp_path):

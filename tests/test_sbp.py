@@ -215,7 +215,7 @@ class TestTraceSerialization:
     def test_json_round_trip_fields(self):
         cm, tables = setup(8, 0.05)
         trace = sbp_optimize(8, 3, cm, 64, tables)
-        doc = json.loads(trace.to_json())
+        doc = json.loads(json.dumps(trace.to_json_dict()))
         assert len(doc["steps"]) == 2
         assert doc["final_profile"]["s"] == list(trace.final_profile.s)
         assert {"step", "position", "d_e_g", "d_cle_g", "d_cfe_g",
