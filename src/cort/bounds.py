@@ -14,7 +14,8 @@ cases that pin them down):
   branching stage h' shares its coded prefix through r_[h'] = b_{h'+1} - 1,
   so comparison windows open at the next branching time: the competitor
   moment runs over (r_[h'], r_[h]] and the transmitted-path moment over
-  (r_[h'], n].
+  (r_[h'], n].  Stage h of the computation-free part compares both paths
+  over (r_[h], n], so both parts read the same prefix sums at r_[h].
 * Node-count weights are v_h = 2^{s(b_{h+1})} / L (the per-stage child count
   divided by the budget, averaged over competitor prefixes).
 * Rows whose comparison holds with probability one - the root row h = 0 and
@@ -137,32 +138,39 @@ def _agreement(levels: np.ndarray):
     return through, through[:, :-1] - through[:, 1:]
 
 
-def _triangle(levels: np.ndarray):
+def _triangle(through: np.ndarray, last: np.ndarray):
     """The T = h_f (h_f + 1) / 2 terms h' <= h of the computation-limit
-    bound of B profiles with h_f stages, row by row: their stage pairs h
-    and h' ((T,) int arrays) and Pr(tau_h = b_h') of each row b of
-    `levels`, (B, T).  On the diagonal h' = h this is the probability
-    2^-s(b_h) of agreeing through stage h, which in the h = 0 root row is
-    the unit mass the root term carries."""
-    h_f = levels.shape[1] - 1
+    bound of B profiles with h_f stages, row by row, from their `_agreement`
+    probabilities: the stage pairs h and h' ((T,) int arrays) and
+    Pr(tau_h = b_h') of each profile, (B, T).  On the diagonal h' = h this is
+    the probability 2^-s(b_h) of agreeing through stage h, which in the
+    h = 0 root row is the unit mass the root term carries."""
+    h_f = last.shape[1]
     hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
     hp = np.arange(len(hh)) - hh * (hh + 1) // 2
-    through, tau = _agreement(levels)
-    tau = tau[:, hp]
+    tau = last[:, hp]
     tau[:, hh == hp] = through[:, :-1]
     return hh, hp, tau
 
 
-def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
-                tables: MomentTables) -> np.ndarray:
-    """Computation-limit bound of each profile at every grid point, (B, G),
-    from the (B, h_f + 1) levels and ends of B profiles with h_f stages."""
+def _curves(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
+            tables: MomentTables):
+    """Computation-limit and computation-free bounds of each profile at
+    every grid point, two (B, G) arrays, from the (B, h_f + 1) levels and
+    ends of B (n, k) profiles with h_f stages."""
     h_f = levels.shape[1] - 1
     rh = ends[:, :h_f].T
-    hh, hp, tau = _triangle(levels)
+    through, last = _agreement(levels)
+    hh, hp, tau = _triangle(through, last)
     diag = hh == hp
     log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
     log_v = levels[:, 1:].astype(float) - math.log2(limit)
+    # log2 Pr(last agreement at stage h), from the level gap where
+    # 2^-s(b_h) - 2^-s(b_{h+1}) underflows to 0
+    log_last = (np.log2(-np.expm1(-math.log(2) * np.diff(levels)))
+                - levels[:, :-1])
+    np.log2(last, out=log_last, where=last > 0)
+    del through, last
 
     # [h, b, g] prefix sums at r_[h]
     SA = tables.prefix_abar.T[rh]
@@ -186,22 +194,14 @@ def _cle_curves(levels: np.ndarray, ends: np.ndarray, limit: float,
         # batch.  The h' > h terms, where tau = 0, are exp2(-inf) = 0 and
         # x + 0.0 == x, so they are not evaluated: the sums equal those
         # over the full square.
-        return terms.sum(axis=0)
-
-
-def _cfe_curves(levels: np.ndarray, ends: np.ndarray, k: int,
-                tables: MomentTables) -> np.ndarray:
-    """Computation-free bound of each profile at every grid point, (B, G),
-    from the (B, h_f + 1) levels and ends of B (n, k) profiles with h_f
-    stages."""
-    rh = ends[:, :-1].T
-    _, tau = _agreement(levels)
-    log_w = k + np.log2(tau.T)
-    abar, a = tables.prefix_abar, tables.prefix_a
-    # [h, b, g], summed over h in order
-    S = (abar[:, -1] - abar.T[rh]) + (a[:, -1] - a.T[rh])
-    with np.errstate(over="ignore"):
-        return np.exp2(tables.grid * (log_w[..., None] + S)).sum(axis=0)
+        cle = terms.sum(axis=0)
+        del terms, row
+        # [h, b, g] in SA's memory: log2 of stage h's term over (r_[h], n]
+        free = np.add(tables.prefix_abar[:, -1] - SA, Dp, out=SA)
+        free += (k + log_last.T)[..., None]
+        free *= tables.grid
+        cfe = np.exp2(free, out=free).sum(axis=0)
+    return cle, cfe
 
 
 def _grid_minima(curves: np.ndarray, grid: np.ndarray):
@@ -220,9 +220,8 @@ def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
     do not depend on the rest of the batch."""
     _check_limit(limit)
     _require_match(tables, int(ends[0, -1]), cm)
-    cle, varrho = _grid_minima(_cle_curves(levels, ends, limit, tables),
-                               tables.grid)
-    cfe, rho = _grid_minima(_cfe_curves(levels, ends, k, tables), tables.grid)
+    (cle, varrho), (cfe, rho) = (_grid_minima(c, tables.grid) for c in
+                                 _curves(levels, ends, k, limit, tables))
     return cle, varrho, cfe, rho
 
 
@@ -306,11 +305,11 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
     _check_limit(limit)
     n = profile.n
     r, levels = np.array(profile.ends), np.array([profile.levels])
-    hh, hp, tau = _triangle(levels)
+    hh, hp, tau = _triangle(*_agreement(levels))
     # P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p))
     P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
-    with np.errstate(over="ignore"):  # levels above 1023 give inf
-        v = np.ldexp(1.0, levels[0, hh + 1]) / limit
+    with np.errstate(over="ignore"):  # inf only where 2^level / L is
+        v = np.ldexp(1.0 / limit, levels[0, hh + 1])  # rounds as 2^level / L
     terms = v * tau[0] * P[r[hh] - r[hp], n - r[hp]]
     # cumsum adds in (h, h') row order, one term at a time
     return float(np.cumsum(terms)[-1])

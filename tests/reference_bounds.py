@@ -1,11 +1,16 @@
-"""Reference forms of the computation-limit bound, kept so that tests can
-require the evaluations in `cort.bounds` to return the same bytes.
+"""Reference forms of the two bound parts, kept so that tests can require
+the evaluations in `cort.bounds` to return the same bytes.
 
-`full_square_cle_curves` is the form that `cort.bounds._cle_curves`
-replaced: it evaluates every (h, h') term, including the h' > h terms that
-are exp2(-inf) = 0, and overwrites the diagonal after the exponential.  It
+`full_square_cle_curves` is the form that the triangular limit pass of
+`cort.bounds._curves` replaced: it evaluates every (h, h') term, including
+the h' > h terms that are exp2(-inf) = 0, and overwrites the diagonal after
+the exponential.  It
 builds its own agreement probabilities and tau matrix from 2^-levels, so it
 shares no code with the triangle it checks.
+
+`per_stage_cfe_curves` is the computation-free pass that `_curves` folded
+into its limit pass: it gathers the window sums at r_[h] and the
+last-agreement probabilities on its own.
 
 `term_loop_cle_m_exact` is the term-by-term loop that `d_cle_m_exact`'s
 gather replaced; it shares its inputs, `_triangle` and `_binom_pmfs`, and
@@ -19,7 +24,7 @@ import math
 import numpy as np
 
 from cort import MomentTables
-from cort.bounds import _binom_pmfs, _triangle
+from cort.bounds import _agreement, _binom_pmfs, _triangle
 
 
 def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
@@ -55,11 +60,26 @@ def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
     return terms.sum(axis=(0, 1))
 
 
+def per_stage_cfe_curves(levels: np.ndarray, ends: np.ndarray, k: int,
+                         tables: MomentTables) -> np.ndarray:
+    """Computation-free bound of each profile at every grid point, (B, G),
+    from the (B, h_f + 1) levels and ends of B (n, k) profiles with h_f
+    stages."""
+    rh = ends[:, :-1].T
+    _, tau = _agreement(levels)
+    log_w = k + np.log2(tau.T)
+    abar, a = tables.prefix_abar, tables.prefix_a
+    # [h, b, g], summed over h in order
+    S = (abar[:, -1] - abar.T[rh]) + (a[:, -1] - a.T[rh])
+    with np.errstate(over="ignore"):
+        return np.exp2(tables.grid * (log_w[..., None] + S)).sum(axis=0)
+
+
 def term_loop_cle_m_exact(profile, cm, limit: float) -> float:
     """`d_cle_m_exact`, one Python float term at a time, (h, h') row by
     row."""
     n, r, levels = profile.n, profile.ends, profile.levels
-    hh, hp, tau = _triangle(np.array([levels]))
+    hh, hp, tau = _triangle(*_agreement(np.array([levels])))
     P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
     total = 0.0
     for i, (h, h_prime) in enumerate(zip(hh.tolist(), hp.tolist())):

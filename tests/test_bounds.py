@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
-from cort.bounds import _agreement, _binom_pmfs, _cle_curves, _triangle
-from reference_bounds import full_square_cle_curves, term_loop_cle_m_exact
+from cort.bounds import _agreement, _binom_pmfs, _curves, _triangle
+from reference_bounds import (full_square_cle_curves, per_stage_cfe_curves,
+                              term_loop_cle_m_exact)
 
 
 def model(p, gamma, n):
@@ -77,7 +79,7 @@ class TestTauDistributions:
     def test_two_stage_profile(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
         assert np.allclose(self.distribution(prof), [0.5, 0.25, 0.25])
-        hh, hp, tri = _triangle(np.array([prof.levels]))
+        hh, hp, tri = _triangle(*_agreement(np.array([prof.levels])))
         assert (hh.tolist(), hp.tolist()) == ([0, 1, 1], [0, 0, 1])
         assert np.allclose(tri, [[1.0, 0.5, 0.5]])
 
@@ -86,7 +88,8 @@ class TestTauDistributions:
         dist = self.distribution(prof)
         assert np.allclose(dist, [1 - 2.0 ** -4, 2.0 ** -4])
         # the root term carries unit mass
-        assert _triangle(np.array([prof.levels]))[2].tolist() == [[1.0]]
+        tri = _triangle(*_agreement(np.array([prof.levels])))[2]
+        assert tri.tolist() == [[1.0]]
 
     def test_random_profiles_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -96,7 +99,7 @@ class TestTauDistributions:
             prof = random_profile(rng, n, k)
             dist = self.distribution(prof)
             assert math.isclose(dist.sum(), 1.0, abs_tol=1e-12)
-            hh, hp, tri = _triangle(np.array([prof.levels]))
+            hh, hp, tri = _triangle(*_agreement(np.array([prof.levels])))
             tail = np.cumsum(dist[::-1])[::-1]
             expected = np.where(hh == hp, tail[hh], dist[hp])
             np.testing.assert_allclose(tri[0], expected, rtol=1e-12, atol=0)
@@ -152,8 +155,9 @@ def random_stage_rows(rng, n, stages, rows, top):
 
 
 class TestTriangularCurves:
-    """_cle_curves evaluates only the h' <= h terms; its curves equal the
-    full-square reference's to the byte."""
+    """_curves evaluates only the h' <= h limit terms, and reads the free
+    part's windows from the limit pass's window sums; both curves equal
+    their references' to the byte."""
 
     def test_random_batches_equal_reference(self):
         rng = np.random.default_rng(31)
@@ -166,21 +170,27 @@ class TestTriangularCurves:
             levels, ends = random_stage_rows(rng, n, stages,
                                              int(rng.integers(1, 6)), n)
             limit = float(rng.choice([1, 16, 1e3, 1e9]))
-            assert (_cle_curves(levels, ends, limit, tables).tobytes()
+            k = int(levels[0, -1])
+            cle, cfe = _curves(levels, ends, k, limit, tables)
+            assert (cle.tobytes()
                     == full_square_cle_curves(levels, ends, limit,
                                               tables).tobytes())
+            assert (cfe.tobytes()
+                    == per_stage_cfe_curves(levels, ends, k, tables).tobytes())
 
     def test_extreme_levels_equal_reference(self):
         # at n = 1100 the agreement probabilities 2^-1000 and below fall
-        # under the 1e-300 clamp or to 0, and 2^levels / L overflows to inf
+        # under the 1e-300 clamp or to 0, and 2^levels / L overflows to inf;
+        # the free part stays finite
         rng = np.random.default_rng(32)
         tables = MomentTables(1100, 0.03, 0.9992)
         levels, ends = random_stage_rows(rng, 1100, 30, 3, 999)
         levels[:, -6:] = [1000, 1010, 1040, 1060, 1080, 1100]
-        curves = _cle_curves(levels, ends, 100, tables)
+        curves, free = _curves(levels, ends, 1100, 100, tables)
         assert np.isinf(curves).any()
         assert (curves.tobytes()
                 == full_square_cle_curves(levels, ends, 100, tables).tobytes())
+        assert np.isfinite(free).all()
 
 
 class TestCfeBound:
@@ -221,6 +231,31 @@ class TestCfeBound:
         vg = d_e_g(prof, model(0.03, 0.9992, 64), 1e9,
                    MomentTables(64, 0.03, 0.9992)).d_cfe_g
         assert v1 <= vg
+
+    def test_agreement_underflow_hand_value(self):
+        # at levels 1075 and above 2^-s(b_h) - 2^-s(b_{h+1}) underflows to 0;
+        # the bound takes its log2 from the level gap instead
+        n, k = 6000, 1150
+        prof = profile_from_s(n, k, [min(k, 1076 + max(0, t - 3000) // 40)
+                                     for t in range(1, n + 1)])
+        tabs = MomentTables(n, 0.03, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = d_e_g(prof, model(0.03, 1.0, n), 1e9, tabs)
+        levels, r = prof.levels, prof.ends
+        abar, a = tabs.prefix_abar.tolist(), tabs.prefix_a.tolist()
+        curve = []
+        for g, rho in enumerate(tabs.grid.tolist()):
+            value = 0.0
+            for h in range(prof.num_stages):
+                # log2 Pr(last agreement at stage h), from exact integers
+                log_last = (math.log2(2 ** (levels[h + 1] - levels[h]) - 1)
+                            - levels[h + 1])
+                window = (abar[g][n] - abar[g][r[h]]) + (a[g][n] - a[g][r[h]])
+                value += 2.0 ** (rho * (k + log_last + window))
+            curve.append(value)
+        assert math.isfinite(report.d_cfe_g)
+        assert math.isclose(report.d_cfe_g, min(curve), rel_tol=1e-12)
 
 
 class TestTotalBound:
@@ -300,6 +335,20 @@ class TestExactCle:
         # 2^1100 / L exceeds the largest float, so the bound is inf
         prof = pure_random_profile(16, 1100)
         assert d_cle_m_exact(prof, model(0.05, 1.0, 16), 1e9) == math.inf
+
+    @pytest.mark.parametrize("s", [[1100] * 16, [1, 1080, 1100, 1100]])
+    def test_levels_beyond_float_range_finite_quotient(self, s):
+        # 2^1100 overflows but 2^1100 / 1e300 does not; in the second
+        # profile the agreement probability 2^-1080 also underflows to 0
+        prof = profile_from_s(len(s), 1100, s)
+        cm = model(0.05, 1.0, prof.n)
+        exact = d_cle_m_exact(prof, cm, 1e300)
+        cher = d_e_g(prof, cm, 1e300, MomentTables(prof.n, 0.05, 1.0)).d_cle_g
+        assert math.isfinite(exact)
+        assert exact <= cher * (1 + 1e-12)
+        if s[0] == 1100:
+            # the pure profile's bound is its root mass 2^k / L
+            assert math.isclose(exact, 2 ** 1100 / 10 ** 300, rel_tol=1e-12)
 
     def test_requires_unit_gamma(self):
         prof = pure_random_profile(4, 2)

@@ -141,6 +141,15 @@ class TestBoundCommand:
                    "--k", "1100", "--p", "0.05", "--limit", "1e300") == 0
         assert "rcu       = 1.000e+00" in capsys.readouterr().out
 
+    def test_agreement_underflow_free_part_finite(self, tmp_path, capsys):
+        # 2^-1080 - 2^-1100 underflows to 0; the free part stays finite
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"n": 4, "k": 1100,
+                                    "s": [1, 1080, 1100, 1100]}))
+        assert run(tmp_path, "bound", "--profile", str(path), "--p", "0.03",
+                   "--limit", "1e300") == 0
+        assert "d_cfe_g   = 3.000e+00" in capsys.readouterr().out
+
     def test_overflowing_bound_rejected(self, tmp_path, capsys):
         # the root term 2^k / L exceeds the largest float at k = 1100
         out = tmp_path / "report.json"
