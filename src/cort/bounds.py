@@ -308,9 +308,12 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
     hh, hp, tau = _triangle(*_agreement(levels))
     # P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p))
     P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
-    with np.errstate(over="ignore"):  # inf only where 2^level / L is
+    with np.errstate(over="ignore", invalid="ignore"):
         v = np.ldexp(1.0 / limit, levels[0, hh + 1])  # rounds as 2^level / L
-    terms = v * tau[0] * P[r[hh] - r[hp], n - r[hp]]
+        terms = v * tau[0] * P[r[hh] - r[hp], n - r[hp]]
+    # a term is inf only where 2^level / L is, and nan where such an inf
+    # meets an agreement probability that underflows to 0: inf there too
+    terms[np.isnan(terms)] = np.inf
     # cumsum adds in (h, h') row order, one term at a time
     return float(np.cumsum(terms)[-1])
 

@@ -19,8 +19,15 @@ reaches the heap in one of three ways by its width:
   pushed as its own heap entry.  The segment costs come from one numpy
   product as Python floats, added to the parent's cost in Python.  They
   depend only on the parent's output bits on the segment, so they are
-  memoized per stage and decode, keyed on those bits, when the segment
-  has at most 8 symbols (trials that share a generator do not share y).
+  memoized per stage and decode when the segment has at most 8 symbols
+  (trials that share a generator do not share y), keyed on an int whose
+  bit j is the parent's output on the segment's row j.  The pop loop
+  expands a memo hit itself, with no call and no numpy: it pushes the
+  stored children but the cheapest, which it holds for the next pop.  A
+  memo miss, like every other expansion, goes to the expansion function.
+  On the fanout-2 (128, 64) staircase (perfbench `deep-128x64`) this cut
+  the p90 trial time from 10.10 to 8.21 ms and raised trials/s from 202.5
+  to 225.7 (medians of 10 alternating runs on a 2-CPU VM).
 - Sorted (9 to 4096 children): costed in one product and argsorted by
   numpy.  Only the cheapest child is pushed, with a generator that yields
   the rest as (cost, index) pairs, converted 4 at a time; popping a
@@ -111,7 +118,7 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     Every stage's suffix tables are held, 1 B per output symbol of their
     min(c, _CHUNK_ROWS) rows plus c / _CHUNK_ROWS for c > _CHUNK_ROWS
     children, and so is every segment-cost memo, at most 2^(segment length)
-    entries of about 264 B plus 88 B per child.  On top, the largest
+    entries of about 112 B plus 88 B per child.  On top, the largest
     expansion holds 10 B per entry of the rows it costs in one product (the
     mask, its float64 copy and a chunk's tiled target; a _CHUNK_ROWS-row
     chunk of a lazily ordered block) and 32 B per child (its float64 costs,
@@ -129,7 +136,7 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     tables = sum((min(rows, _CHUNK_ROWS)
                   + (rows >> _CHUNK_BITS if rows > _CHUNK_ROWS else 0)) * seg
                  for rows, seg in shapes)
-    memos = sum((1 << seg) * (264 + 88 * rows) for rows, seg in shapes
+    memos = sum((1 << seg) * (112 + 88 * rows) for rows, seg in shapes
                 if rows <= _NARROW and seg <= _MEMO_SYMBOLS)
     block = max(10 * min(rows, _CHUNK_ROWS) * seg + 32 * rows
                 for rows, seg in shapes)
@@ -179,16 +186,23 @@ def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
     None.  By linearity over GF(2), suffix c * _CHUNK_ROWS + i outputs
     high[c] ^ low[i].  Then the parent columns' rows packed as ints, cut
     from the generator's rows `packed` once per decode; the segment of y;
-    its per-symbol costs; and the block's segment-cost memo, a dict when the
-    block is narrow and its segment at most _MEMO_SYMBOLS long, else None.
+    its per-symbol costs; and, when the block is narrow and its segment at
+    most _MEMO_SYMBOLS long, the narrow record the pop loop expands from,
+    else None: the parent rows last first; the segment-cost memo, which
+    maps an int with bit j set when the parent outputs 1 on row j to the
+    cheapest child's segment cost and index and the others' (segment cost,
+    index) pairs in that order; w; -next_level; and the child count.
     """
     split = max(level, next_level - _CHUNK_BITS)
     high = _xor_table(g.bits[lo:hi, level:split].T) if split > level else None
     low = _xor_table(g.bits[lo:hi, split:next_level].T)
     shift = g.profile.k - level
-    memo = {} if len(low) <= _NARROW and hi - lo <= _MEMO_SYMBOLS else None
-    return (low, high, [row >> shift for row in packed[lo:hi]], y[lo:hi],
-            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float), memo)
+    rows = [row >> shift for row in packed[lo:hi]]
+    narrow = None
+    if len(low) <= _NARROW and hi - lo <= _MEMO_SYMBOLS:
+        narrow = (rows[::-1], {}, next_level - level, -next_level, len(low))
+    return (low, high, rows, y[lo:hi],
+            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float), narrow)
 
 
 def _chunked_costs(low: np.ndarray, high: np.ndarray, target: np.ndarray,
@@ -268,6 +282,7 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     k, levels, r, fanout = prof.k, prof.levels, prof.ends, prof.branch_fanout
     packed = _pack_rows(g.bits)
     blocks = [None] * prof.num_stages
+    narrows = [None] * prof.num_stages
     heap = []
 
     def expand(prefix: int, stage: int, cost: float) -> tuple:
@@ -278,25 +293,26 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             blocks[stage] = _stage_block(g, cm, y, packed, r[stage],
                                          r[stage + 1], levels[stage],
                                          levels[stage + 1])
-        low, high, parent_rows, y_seg, weights, memo = blocks[stage]
-        parent_out = tuple([(row & prefix).bit_count() & 1
-                            for row in parent_rows])
+            narrows[stage] = blocks[stage][5]
+        low, high, parent_rows, y_seg, weights, narrow = blocks[stage]
+        parent_out = [(row & prefix).bit_count() & 1 for row in parent_rows]
         base = prefix << (levels[stage + 1] - levels[stage])
         neg_depth = -levels[stage + 1]
+        target = y_seg ^ np.array(parent_out, dtype=np.uint8)
         if len(low) <= _NARROW:
-            seg = None if memo is None else memo.get(parent_out)
-            if seg is None:
-                target = y_seg ^ np.array(parent_out, dtype=np.uint8)
-                seg = sorted(zip(((low != target) @ weights).tolist(),
-                                 range(len(low))))
-                if memo is not None:
-                    memo[parent_out] = seg
+            seg = sorted(zip(((low != target) @ weights).tolist(),
+                             range(len(low))))
+            if narrow is not None:
+                # a memo miss: the pop loop expands the hits itself
+                key = 0
+                for bit in reversed(parent_out):
+                    key = key << 1 | bit
+                narrow[1][key] = *seg[0], seg[1:]
             for s, i in seg[1:]:
                 heappush(heap, (cost + s, neg_depth, base | i, stage + 1,
                                 None))
             s, i = seg[0]
             return cost + s, neg_depth, base | i, stage + 1, None
-        target = y_seg ^ np.array(parent_out, dtype=np.uint8)
         if high is not None:
             costs = _chunked_costs(low, high, target, weights, cost)
             order, rest = _next_slice(costs, None, _FIRST_SLICE)
@@ -328,6 +344,24 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             if sibling is not None:
                 heappush(heap, (sibling[0], neg_depth, base | sibling[1],
                                 stage, cursor))
+        # a memo hit of a narrow stage is expanded here, with no call
+        narrow = narrows[stage]
+        if narrow:
+            rows, memo, width, child_depth, children = narrow
+            key = 0
+            for row in rows:
+                key = key << 1 | (row & prefix).bit_count() & 1
+            seg = memo.get(key)
+            if seg is not None:
+                base = prefix << width
+                stage += 1
+                s, i, rest = seg
+                for s1, i1 in rest:
+                    heappush(heap, (cost + s1, child_depth, base | i1, stage,
+                                    None))
+                held = cost + s, child_depth, base | i, stage, None
+                nodes_checked += children
+                continue
         held = expand(prefix, stage, cost)
         nodes_checked += fanout[stage]
 

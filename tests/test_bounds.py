@@ -336,6 +336,16 @@ class TestExactCle:
         prof = pure_random_profile(16, 1100)
         assert d_cle_m_exact(prof, model(0.05, 1.0, 16), 1e9) == math.inf
 
+    def test_overflow_meets_underflow(self):
+        # the (2, 2) term is 2^1100 / 1e9, inf, times the agreement
+        # probability 2^-1080, 0; the (1, 1) term 2^1079 / 1e9 already
+        # overflows, so the bound is inf, with no invalid-value warning
+        prof = profile_from_s(4, 1100, [1, 1080, 1100, 1100])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = d_cle_m_exact(prof, model(0.05, 1.0, 4), 1e9)
+        assert exact == math.inf
+
     @pytest.mark.parametrize("s", [[1100] * 16, [1, 1080, 1100, 1100]])
     def test_levels_beyond_float_range_finite_quotient(self, s):
         # 2^1100 overflows but 2^1100 / 1e300 does not; in the second

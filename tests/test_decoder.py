@@ -289,6 +289,61 @@ class TestMatchesEagerReference:
             giveups += expected.gave_up
         assert 0 < giveups < seeds
 
+    # the paper's design-point fanouts scaled down: a lazily ordered root of
+    # 2^13 children, a 32-child stage on a 6-symbol segment, memoized narrow
+    # stages of 8, 4 and 2 children, and a 4-child stage on a 10-symbol
+    # segment, narrow but not memoized
+    DESIGN_SCALED = profile_from_s(56, 37, [
+        v for run, v in [(13, 13), (6, 18), (4, 21), (3, 23), (2, 24),
+                         (10, 26), (3, 27), (3, 29), (3, 32), (2, 33),
+                         (4, 36), (3, 37)]
+        for _ in range(run)])
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    def test_design_point_fanouts(self, gamma):
+        prof = self.DESIGN_SCALED
+        fanout = prof.branch_fanout
+        seg = [b - a for a, b in zip(prof.ends, prof.ends[1:])]
+        memoized = [h for h, c in enumerate(fanout)
+                    if c <= decoder._NARROW and seg[h] <= decoder._MEMO_SYMBOLS]
+        assert fanout[0] > decoder._CHUNK_ROWS
+        assert fanout[1] == 32 and seg[1] == 6
+        assert {fanout[h] for h in memoized} == {2, 4, 8}
+        assert any(c <= decoder._NARROW and seg[h] > decoder._MEMO_SYMBOLS
+                   for h, c in enumerate(fanout))
+        cm = model(p=0.05, gamma=gamma, n=prof.n)
+        seeds, limit = 20, 16000
+        giveups = 0
+        expansions = Counter()
+        for seed in range(seeds):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, limit, trace=expected_trace)
+            assert ssdgu_decode(g, y, cm, limit, trace=trace) == expected
+            assert trace == expected_trace
+            giveups += expected.gave_up
+            for h, count in Counter(r["stage"] for r in trace).items():
+                expansions[h] = max(expansions[h], count)
+        assert 0 < giveups < seeds
+        # a decode that expands a memoized stage more often than its
+        # segment has output patterns hits the memo
+        hit = {fanout[h] for h in memoized if expansions[h] > 2 ** seg[h]}
+        assert hit == {2, 4, 8}
+
+    @pytest.mark.parametrize("prof,p,limit", [
+        (DESIGN_SCALED, 0.05, 16000),
+        (DEEP, 0.02, 5000),
+    ], ids=["design-scaled", "deep-128x64"])
+    def test_untraced_outcomes_equal(self, prof, p, limit):
+        # the pop loop takes other branches without a trace list
+        cm = model(p=p, gamma=0.9992, n=prof.n)
+        for seed in range(20):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            assert ssdgu_decode(g, y, cm, limit) \
+                == ssdgu_decode(g, y, cm, limit, trace=[])
+
     def test_one_generator_many_words(self):
         # as in simulate with resample_code off: segment costs memoized in
         # one decode must not reach the next decode with the same generator
