@@ -16,18 +16,27 @@ Expanding a node computes its children's costs as one block, which
 reaches the heap in one of three ways by its width:
 
 - Narrow (at most 8 children, so every fanout-2 stage): every child is
-  pushed as its own heap entry.  The segment costs come from one numpy
-  product as Python floats, added to the parent's cost in Python.  They
-  depend only on the parent's output bits on the segment, so they are
-  memoized per stage and decode when the segment has at most 8 symbols
-  (trials that share a generator do not share y), keyed on an int whose
-  bit j is the parent's output on the segment's row j.  The pop loop
-  expands a memo hit itself, with no call and no numpy: it pushes the
-  stored children but the cheapest, which it holds for the next pop.  A
-  memo miss, like every other expansion, goes to the expansion function.
-  On the fanout-2 (128, 64) staircase (perfbench `deep-128x64`) this cut
-  the p90 trial time from 10.10 to 8.21 ms and raised trials/s from 202.5
-  to 225.7 (medians of 10 alternating runs on a 2-CPU VM).
+  pushed as its own heap entry.  A narrow stage whose segment has at most
+  8 symbols is memoized: its children's segment costs depend only on the
+  parent's output bits on the segment, an int key whose bit j is the
+  parent's output on row j.  At decode start every such stage gets a
+  table of the segment cost of each of its 2^S mismatch patterns and, per
+  child, its segment outputs XOR y as an S-bit int, so child i of a parent
+  with key q costs table[q ^ outs[i]].  The pop loop expands every node of
+  these stages itself, the root included, with no call and no numpy: it
+  looks the key up in the stage's memo, fills a miss by sorting the
+  children's (table cost, index) pairs, pushes the children but the
+  cheapest and holds the cheapest for the next pop.  A table entry is a
+  row of a C-row product, as the eager `(xs != y) @ w` that costs a
+  C-child block is: the patterns are stacked C rows an item in one
+  np.matmul per (S, C) shape.  OpenBLAS costs a 2-row product with its
+  tail kernel, so one flat (2^S, S) product differed from the 2-row
+  products on 221 of 2560 rows at 8 symbols and gamma 0.9992.  On the
+  fanout-2 (128, 64) staircase (perfbench `deep-128x64`) this cut the
+  median trial time from 3.37 to 1.83 ms and the p90 from 7.92 to 6.05
+  ms (medians of 10 alternating runs on a 2-CPU VM).  Other narrow blocks
+  are costed by one numpy product as Python floats, added to the parent's
+  cost in Python.
 - Sorted (9 to 4096 children): costed in one product and argsorted by
   numpy.  Only the cheapest child is pushed, with a generator that yields
   the rest as (cost, index) pairs, converted 4 at a time; popping a
@@ -82,10 +91,11 @@ _FIRST_SLICE = 256
 # heap, which at its size is faster than numpy's per-call overhead and than
 # an iterator per block.  A wider block's numpy order is converted _PAGE
 # pairs at a time as they are reached, which holds less than longer pages
-# while its iterator waits on the heap.  A narrow block's segment costs are
-# memoized per decode, keyed on the parent's output bits, when the segment
-# has at most _MEMO_SYMBOLS symbols, so that its memo holds at most
-# 2^_MEMO_SYMBOLS entries.
+# while its iterator waits on the heap.  A narrow stage whose segment has
+# S <= _MEMO_SYMBOLS symbols is costed from a table of its 2^S segment
+# costs, built for every such stage at decode start, and a memo keyed on
+# the parent's S output bits, so each holds at most 2^_MEMO_SYMBOLS
+# entries.
 _NARROW = 8
 _PAGE = 4
 _MEMO_SYMBOLS = 8
@@ -117,18 +127,21 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
 
     Every stage's suffix tables are held, 1 B per output symbol of their
     min(c, _CHUNK_ROWS) rows plus c / _CHUNK_ROWS for c > _CHUNK_ROWS
-    children, and so is every segment-cost memo, at most 2^(segment length)
-    entries of about 112 B plus 88 B per child.  On top, the largest
-    expansion holds 10 B per entry of the rows it costs in one product (the
-    mask, its float64 copy and a chunk's tiled target; a _CHUNK_ROWS-row
-    chunk of a lazily ordered block) and 32 B per child (its float64 costs,
-    plus either the stable argsort or the copy that np.partition selects in
-    with the masks and index arrays of a slice).  Then BYTES_PER_CHECK per
-    node check after the root expansion, whose c_0 children the block term
-    already holds: at most limit - c_0 + max(c_1, ...) of them, none for a
-    one-stage profile, whose decode returns at the first pop.  At the
-    paper's design point (c_0 = 2^21, 32 root symbols) a decode at limit
-    c_0 peaked at 36 MB traced against 72 MB estimated.
+    children, and so is every memoized narrow stage's record: about 1 kB,
+    plus 80 B and 72 B per child for each of the 2^(segment length)
+    mismatch patterns, which covers the pattern's table float and at most
+    one memo entry (traced with the memos full, at most 0.85 of this).  On
+    top, the largest expansion holds 10 B per entry of the rows it costs in
+    one product (the mask, its float64 copy and a chunk's tiled target; a
+    _CHUNK_ROWS-row chunk of a lazily ordered block) and 32 B per child (its
+    float64 costs, plus either the stable argsort or the copy that
+    np.partition selects in with the masks and index arrays of a slice).
+    Then BYTES_PER_CHECK per node check after the root expansion, whose c_0
+    children the block term already holds: at most limit - c_0 +
+    max(c_1, ...) of them, none for a one-stage profile, whose decode
+    returns at the first pop.  At the paper's design point (c_0 = 2^21, 32
+    root symbols) a decode at limit c_0 peaked at 36 MB traced against 72
+    MB estimated.
     """
     r = profile.ends
     fanout = profile.branch_fanout
@@ -136,7 +149,7 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     tables = sum((min(rows, _CHUNK_ROWS)
                   + (rows >> _CHUNK_BITS if rows > _CHUNK_ROWS else 0)) * seg
                  for rows, seg in shapes)
-    memos = sum((1 << seg) * (112 + 88 * rows) for rows, seg in shapes
+    memos = sum(1024 + (1 << seg) * (80 + 72 * rows) for rows, seg in shapes
                 if rows <= _NARROW and seg <= _MEMO_SYMBOLS)
     block = max(10 * min(rows, _CHUNK_ROWS) * seg + 32 * rows
                 for rows, seg in shapes)
@@ -186,23 +199,67 @@ def _stage_block(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
     None.  By linearity over GF(2), suffix c * _CHUNK_ROWS + i outputs
     high[c] ^ low[i].  Then the parent columns' rows packed as ints, cut
     from the generator's rows `packed` once per decode; the segment of y;
-    its per-symbol costs; and, when the block is narrow and its segment at
-    most _MEMO_SYMBOLS long, the narrow record the pop loop expands from,
-    else None: the parent rows last first; the segment-cost memo, which
-    maps an int with bit j set when the parent outputs 1 on row j to the
-    cheapest child's segment cost and index and the others' (segment cost,
-    index) pairs in that order; w; -next_level; and the child count.
+    and its per-symbol costs.
     """
     split = max(level, next_level - _CHUNK_BITS)
     high = _xor_table(g.bits[lo:hi, level:split].T) if split > level else None
     low = _xor_table(g.bits[lo:hi, split:next_level].T)
     shift = g.profile.k - level
     rows = [row >> shift for row in packed[lo:hi]]
-    narrow = None
-    if len(low) <= _NARROW and hi - lo <= _MEMO_SYMBOLS:
-        narrow = (rows[::-1], {}, next_level - level, -next_level, len(low))
     return (low, high, rows, y[lo:hi],
-            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float), narrow)
+            np.asarray(cm.per_symbol_cost[lo:hi], dtype=float))
+
+
+def _narrow_records(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
+                    packed: list) -> list:
+    """Per stage, the record the pop loop expands its nodes from when the
+    stage's block is narrow and its segment at most _MEMO_SYMBOLS long,
+    else None.
+
+    A record holds the parent columns' rows packed as ints, last row first;
+    the segment-cost memo, empty; the segment-cost table; each child's
+    segment outputs XOR the segment of y; the suffix width; and the
+    children's -depth.  Bit j of a memo key or an output int is segment
+    row j, so child i of a parent whose outputs form key q mismatches y on
+    the set bits of q ^ outs[i], and table[q ^ outs[i]] is its segment
+    cost.  The memo maps q to the cheapest child's segment cost and index
+    and the others' (segment cost, index) pairs in that order.
+
+    Entry m of a C-child stage's table is costed as a row of a C-row
+    product, as the block's `(xs != y) @ w` is: the 2^S mismatch patterns
+    (at least C, repeating) are stacked C rows an item, for every stage of
+    one (S, C) shape in one np.matmul.  BLAS costs a 2-row product's rows
+    with another kernel than a long product's, so one flat (2^S, S)
+    product would not give the same bits.
+    """
+    prof = g.profile
+    r, levels = prof.ends, prof.levels
+    shapes = {}
+    for h, c in enumerate(prof.branch_fanout):
+        if c <= _NARROW and r[h + 1] - r[h] <= _MEMO_SYMBOLS:
+            shapes.setdefault((r[h + 1] - r[h], c), []).append(h)
+    records = [None] * prof.num_stages
+    for (symbols, children), stages in shapes.items():
+        width = children.bit_length() - 1
+        rows = np.add.outer([r[h] for h in stages], np.arange(symbols))
+        cols = np.add.outer([levels[h + 1] - width for h in stages],
+                            np.arange(width))
+        patterns = np.arange(max(1 << symbols, children))
+        patterns = (patterns[:, None] >> np.arange(symbols)) & 1
+        tables = np.matmul(
+            patterns.reshape(-1, children, symbols).astype(float),
+            cm.per_symbol_cost[rows][:, None, :, None])
+        tables = tables.reshape(len(stages), -1)[:, :1 << symbols]
+        suffixes = (np.arange(children)[:, None]
+                    >> np.arange(width - 1, -1, -1)) & 1
+        outputs = suffixes @ g.bits[rows[:, None, :], cols[:, :, None]] & 1
+        outs = (outputs ^ y[rows][:, None, :]) @ (1 << np.arange(symbols))
+        for h, table, out in zip(stages, tables.tolist(), outs.tolist()):
+            shift = prof.k - levels[h]
+            parent_rows = [row >> shift for row in packed[r[h]:r[h + 1]]]
+            records[h] = (parent_rows[::-1], {}, table, out, width,
+                          -levels[h + 1])
+    return records
 
 
 def _chunked_costs(low: np.ndarray, high: np.ndarray, target: np.ndarray,
@@ -281,20 +338,20 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
 
     k, levels, r, fanout = prof.k, prof.levels, prof.ends, prof.branch_fanout
     packed = _pack_rows(g.bits)
+    narrows = _narrow_records(g, cm, y, packed)
     blocks = [None] * prof.num_stages
-    narrows = [None] * prof.num_stages
     heap = []
 
     def expand(prefix: int, stage: int, cost: float) -> tuple:
-        """Check a stage-`stage` node's children, push all of a narrow
-        block's but the cheapest, and return the cheapest's heap entry: its
-        cursor is None, or for a wider block (base, iterator of the rest)."""
+        """Check the children of a stage-`stage` node with no narrow
+        record, push all of a narrow block's but the cheapest, and return
+        the cheapest's heap entry: its cursor is None, or for a wider block
+        (base, iterator of the rest)."""
         if blocks[stage] is None:
             blocks[stage] = _stage_block(g, cm, y, packed, r[stage],
                                          r[stage + 1], levels[stage],
                                          levels[stage + 1])
-            narrows[stage] = blocks[stage][5]
-        low, high, parent_rows, y_seg, weights, narrow = blocks[stage]
+        low, high, parent_rows, y_seg, weights = blocks[stage]
         parent_out = [(row & prefix).bit_count() & 1 for row in parent_rows]
         base = prefix << (levels[stage + 1] - levels[stage])
         neg_depth = -levels[stage + 1]
@@ -302,12 +359,6 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
         if len(low) <= _NARROW:
             seg = sorted(zip(((low != target) @ weights).tolist(),
                              range(len(low))))
-            if narrow is not None:
-                # a memo miss: the pop loop expands the hits itself
-                key = 0
-                for bit in reversed(parent_out):
-                    key = key << 1 | bit
-                narrow[1][key] = *seg[0], seg[1:]
             for s, i in seg[1:]:
                 heappush(heap, (cost + s, neg_depth, base | i, stage + 1,
                                 None))
@@ -323,10 +374,34 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
         first_cost, first = next(cursor[1])
         return first_cost, neg_depth, base | first, stage + 1, cursor
 
-    held = expand(0, 0, 0.0)
-    nodes_checked = c0
-    pops = 0
-    while nodes_checked <= limit:
+    # each pass expands a node, the root first, and pops the next
+    cost, prefix, stage = 0.0, 0, 0
+    nodes_checked = pops = 0
+    while True:
+        nodes_checked += fanout[stage]
+        if nodes_checked > limit:
+            break
+        narrow = narrows[stage]
+        if narrow:
+            # no call and no numpy: the memo, else the table, costs it
+            rows, memo, table, outs, width, child_depth = narrow
+            key = 0
+            for row in rows:
+                key = key << 1 | (row & prefix).bit_count() & 1
+            seg = memo.get(key)
+            if seg is None:
+                seg = sorted(zip([table[o ^ key] for o in outs],
+                                 range(len(outs))))
+                seg = memo[key] = *seg[0], seg[1:]
+            s, i, rest = seg
+            base = prefix << width
+            stage += 1
+            for s1, i1 in rest:
+                heappush(heap, (cost + s1, child_depth, base | i1, stage,
+                                None))
+            held = cost + s, child_depth, base | i, stage, None
+        else:
+            held = expand(prefix, stage, cost)
         cost, neg_depth, prefix, stage, cursor = heappushpop(heap, held)
         pops += 1
         if trace is not None:
@@ -344,27 +419,6 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
             if sibling is not None:
                 heappush(heap, (sibling[0], neg_depth, base | sibling[1],
                                 stage, cursor))
-        # a memo hit of a narrow stage is expanded here, with no call
-        narrow = narrows[stage]
-        if narrow:
-            rows, memo, width, child_depth, children = narrow
-            key = 0
-            for row in rows:
-                key = key << 1 | (row & prefix).bit_count() & 1
-            seg = memo.get(key)
-            if seg is not None:
-                base = prefix << width
-                stage += 1
-                s, i, rest = seg
-                for s1, i1 in rest:
-                    heappush(heap, (cost + s1, child_depth, base | i1, stage,
-                                    None))
-                held = cost + s, child_depth, base | i, stage, None
-                nodes_checked += children
-                continue
-        held = expand(prefix, stage, cost)
-        nodes_checked += fanout[stage]
 
     return DecodeOutcome(result=None, nodes_checked=nodes_checked,
                          max_stack_size=nodes_checked - pops)
-

@@ -344,6 +344,39 @@ class TestMatchesEagerReference:
             assert ssdgu_decode(g, y, cm, limit) \
                 == ssdgu_decode(g, y, cm, limit, trace=[])
 
+    @pytest.mark.parametrize("prof,p,limit", [
+        (DESIGN_SCALED, 0.05, 16000),
+        (DEEP, 0.02, 5000),
+    ], ids=["design-scaled", "deep-128x64"])
+    def test_memoized_stages_skip_block_builder(self, prof, p, limit,
+                                                monkeypatch):
+        # every node of a memoized narrow stage is expanded from its
+        # table, first expansions and memo misses included, so only the
+        # other stages ever build a stage block
+        built = set()
+        stage_block = decoder._stage_block
+
+        def recorded(g, cm, y, packed, lo, hi, level, next_level):
+            built.add(prof.levels.index(level))
+            return stage_block(g, cm, y, packed, lo, hi, level, next_level)
+
+        monkeypatch.setattr(decoder, "_stage_block", recorded)
+        seg = [b - a for a, b in zip(prof.ends, prof.ends[1:])]
+        memoized = {h for h, c in enumerate(prof.branch_fanout)
+                    if c <= decoder._NARROW and seg[h] <= decoder._MEMO_SYMBOLS}
+        cm = model(p=p, gamma=0.9992, n=prof.n)
+        expanded = set()
+        for seed in range(10):
+            g = sample_generator(prof, seed)
+            y = transmit(cm.channel, encode(g, draw_message(prof.k, seed)), seed)
+            expected_trace, trace = [], []
+            expected = eager_decode(g, y, cm, limit, trace=expected_trace)
+            assert ssdgu_decode(g, y, cm, limit, trace=trace) == expected
+            assert trace == expected_trace
+            expanded |= {r["stage"] for r in trace}
+        assert built and not built & memoized
+        assert expanded & memoized == memoized - {0}
+
     def test_one_generator_many_words(self):
         # as in simulate with resample_code off: segment costs memoized in
         # one decode must not reach the next decode with the same generator
@@ -356,6 +389,47 @@ class TestMatchesEagerReference:
             expected = eager_decode(g, y, cm, 600, trace=expected_trace)
             assert ssdgu_decode(g, y, cm, 600, trace=trace) == expected
             assert trace == expected_trace
+
+
+class TestNarrowTables:
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    @pytest.mark.parametrize("children", [2, 4, 8])
+    def test_entries_equal_block_products(self, children, gamma):
+        # for every parent output key, each child's table entry equals its
+        # row of the children-row product (xs != y) @ w that the eager
+        # reference costs the block with, to the bit, on segments of 1 to 8
+        # symbols after a first segment of random length
+        rng = np.random.default_rng(children)
+        width = children.bit_length() - 1
+        suffixes = (np.arange(children)[:, None]
+                    >> np.arange(width - 1, -1, -1)) & 1
+        place = 1 << np.arange(decoder._MEMO_SYMBOLS)
+        for symbols in range(1, decoder._MEMO_SYMBOLS + 1):
+            first = int(rng.integers(9, 400))
+            n = first + 4 * symbols
+            s = [width] * first + [width * (2 + t // symbols)
+                                   for t in range(n - first)]
+            prof = profile_from_s(n, s[-1], s)
+            cm = model(p=0.03, gamma=gamma, n=n)
+            g = sample_generator(prof, int(rng.integers(1000)))
+            y = rng.integers(0, 2, n).astype(np.uint8)
+            records = decoder._narrow_records(g, cm, y,
+                                              decoder._pack_rows(g.bits))
+            assert records[0] is None
+            assert all(records[1:])
+            for h, (_, _, table, outs, _, _) in enumerate(records[1:], 1):
+                lo, hi = prof.ends[h], prof.ends[h + 1]
+                level, next_level = prof.levels[h], prof.levels[h + 1]
+                own = suffixes @ g.bits[lo:hi, level:next_level].T % 2
+                weights = np.asarray(cm.per_symbol_cost[lo:hi], dtype=float)
+                assert len(table) == 2 ** symbols
+                for key in range(2 ** symbols):
+                    parent = (key >> np.arange(symbols)) & 1
+                    xs = (own ^ parent).astype(np.uint8)
+                    assert [table[key ^ o] for o in outs] \
+                        == ((xs != y[lo:hi]) @ weights).tolist()
+                    assert outs \
+                        == ((own ^ y[lo:hi]) @ place[:symbols]).tolist()
 
 
 class TestMemoryEstimate:
@@ -382,6 +456,36 @@ class TestMemoryEstimate:
             assert peak <= estimate
         assert wide.branch_fanout[0] == 2 ** 18 and wide.ends[1] == 32
         assert peak < 2 ** 18 * 32
+
+    def test_covers_traced_peak_of_tables_and_memos(self):
+        # the memoized stages' tables are built at decode start and their
+        # memos fill as the decode goes; 8-symbol segments have the largest
+        # tables, and at limit 1000 those of the 480-symbol profile
+        # outweigh its checks
+        ref = TestMatchesEagerReference
+        eight = profile_from_s(480, 120, [
+            4 * (h // 2) + 1 + 3 * (h % 2) for h in range(60) for _ in range(8)])
+        assert set(eight.branch_fanout) == {2, 8}
+        assert {b - a for a, b in zip(eight.ends, eight.ends[1:])} == {8}
+        for prof, p, limit, seeds in [(ref.DESIGN_SCALED, 0.05, 16000, 6),
+                                      (eight, 0.1, 1000, 3)]:
+            cm = model(p=p, gamma=0.9992, n=prof.n)
+            estimate = decoder.decode_memory_bytes(prof, limit)
+            giveups = 0
+            for seed in range(seeds):
+                g = sample_generator(prof, seed)
+                y = transmit(cm.channel,
+                             encode(g, draw_message(prof.k, seed)), seed)
+                tracemalloc.start()
+                try:
+                    out = ssdgu_decode(g, y, cm, limit)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= estimate
+                giveups += out.gave_up
+            assert giveups > 0
+        assert peak > 2 * decoder.BYTES_PER_CHECK * limit
 
     def test_one_stage_estimate_ignores_limit(self):
         # a one-stage decode pops a terminal root child first and checks
