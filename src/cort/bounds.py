@@ -24,6 +24,21 @@ cases that pin them down):
   tighter and keeps the grid minimum away from the degenerate varrho = 0
   corner.
 
+The window table.  With P-bar and P the prefix sums of `MomentTables`, the
+log2 moment of the window pair (t_i, t_j] at grid point g, the competitor
+over (t_i, t_j] and the transmitted path over (t_i, n], is
+(P-bar[g, t_j] - P-bar[g, t_i]) + (P[g, n] - P[g, t_i]).  It depends only
+on the pair and on (n, p, gamma), so `window_table` evaluates it once for
+every pair i <= j of a set of times: W[i, j, g] is that moment times
+grid[g], W[i, i, g] = 0.0, and F[i, g] = (P-bar[g, n] - P-bar[g, t_i])
++ (P[g, n] - P[g, t_i]).  Limit term (h, h') is exp2(W[r_[h'], r_[h]] +
+log2 v_h + log2 tau[h, h']), so the zero diagonal gives the exact weight
+above bit for bit; free term h is exp2((F[r_[h]] + k + log2 Pr(last
+agreement at stage h)) grid[g]).  log2 tau comes from the levels, -s(b_h)
+on the diagonal and log2 Pr(last agreement at h') off it, so no
+term is lost where 2^-s(b_h) underflows.  `sbp_optimize` builds one table
+per call over every time 0..n, and `d_e_g` one over its profile's ends.
+
 Reported values are raw (unclipped) sums; presentation layers clip to 1
 (the `*_clipped` keys of `BoundReport.to_json_dict`).
 """
@@ -32,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,10 +97,10 @@ class MomentTables:
         self.prefix_a = np.hstack([zeros, np.cumsum(self.log_moment_a, axis=1)])
 
 
-# Peak bytes of a batched bound evaluation per float64 element of its
-# largest arrays (see _profile_elements): tracemalloc measured at most
-# 8.7 B per element over sub-batches of 2^16 elements or more, at n = 1 to
-# 128 and grids of 2 to 20000 points.
+# Peak bytes of a batched bound evaluation per element of its largest
+# arrays (see _profile_elements): tracemalloc measured at most 7.9 B per
+# element over sub-batches of 2^16 elements or more, at n = 16 to 300,
+# 1 to 200 stages and grids of 2 to 1000 points.
 _BYTES_PER_ELEMENT = 12
 # A batch of profiles is evaluated in sub-batches of at most this many
 # elements together, unless one profile alone has more.
@@ -92,13 +108,14 @@ _BATCH_ELEMENTS = 2 ** 18
 
 
 def _profile_elements(stages: int, points: int) -> int:
-    """Float64 elements that the largest arrays of a bound evaluation hold
-    per profile with `stages` stages on a grid of `points`: at each grid
-    point the h' <= h terms of the computation-limit curve and three
-    per-stage prefix-sum rows, and five arrays of agreement probabilities
-    that have one entry per term."""
+    """Elements (float64 or int64) that the largest arrays of a bound
+    evaluation hold per profile with `stages` stages on a grid of `points`:
+    at each grid point the h' <= h terms of the computation-limit part, the
+    free part's per-stage row and both curves, and per term its
+    window-table index, two index gathers and three arrays of log2
+    weights."""
     terms = stages * (stages + 1) // 2
-    return points * (terms + 3 * stages) + 5 * terms
+    return points * (terms + stages + 2) + 6 * terms
 
 
 def batch_rows(stages: int, points: int) -> int:
@@ -108,14 +125,21 @@ def batch_rows(stages: int, points: int) -> int:
     return max(1, _BATCH_ELEMENTS // _profile_elements(stages, points))
 
 
-def bound_memory_bytes(n: int, stages: int, points: int) -> int:
-    """Estimated peak memory of MomentTables plus one batched bound
-    evaluation of n-time profiles with at most `stages` stages on a grid of
-    `points`: 64 B per grid point and time for the tables, and
-    _BYTES_PER_ELEMENT per element of the largest sub-batch (both measured
+def bound_memory_bytes(n: int, stages: int, points: int,
+                       times: int | None = None) -> int:
+    """Estimated peak memory of MomentTables, a window table over `times`
+    times (all n + 1 by default, as `sbp_optimize` builds) and one batched
+    bound evaluation of n-time profiles with at most `stages` stages on a
+    grid of `points`: 64 B per grid point and time for the moment tables;
+    per stored window entry 8 B a grid point for the table, as much again
+    for the temporary its build holds, and 16 B of build indices; and
+    _BYTES_PER_ELEMENT per element of the largest sub-batch (all measured
     peaks)."""
+    times = n + 1 if times is None else times
+    entries = times * (times + 1) // 2 + times
     elements = max(_profile_elements(stages, points), _BATCH_ELEMENTS)
-    return 64 * points * (n + 1) + _BYTES_PER_ELEMENT * elements
+    return (64 * points * (n + 1) + (16 * points + 16) * entries
+            + _BYTES_PER_ELEMENT * elements)
 
 
 def _require_match(tables: MomentTables, n: int, cm: CostModel):
@@ -138,68 +162,84 @@ def _agreement(levels: np.ndarray):
     return through, through[:, :-1] - through[:, 1:]
 
 
-def _triangle(through: np.ndarray, last: np.ndarray):
-    """The T = h_f (h_f + 1) / 2 terms h' <= h of the computation-limit
-    bound of B profiles with h_f stages, row by row, from their `_agreement`
-    probabilities: the stage pairs h and h' ((T,) int arrays) and
-    Pr(tau_h = b_h') of each profile, (B, T).  On the diagonal h' = h this is
-    the probability 2^-s(b_h) of agreeing through stage h, which in the
-    h = 0 root row is the unit mass the root term carries."""
-    h_f = last.shape[1]
+def _pairs(h_f: int):
+    """The stage pairs h and h' ((T,) int arrays) of the T = h_f (h_f + 1) / 2
+    terms h' <= h of the computation-limit bound with h_f stages, row by
+    row."""
     hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
-    hp = np.arange(len(hh)) - hh * (hh + 1) // 2
+    return hh, np.arange(len(hh)) - hh * (hh + 1) // 2
+
+
+def _triangle(through: np.ndarray, last: np.ndarray):
+    """The stage pairs of `_pairs` and Pr(tau_h = b_h') of each of B
+    profiles, (B, T), from their `_agreement` probabilities.  On the
+    diagonal h' = h this is the probability 2^-s(b_h) of agreeing through
+    stage h, which in the h = 0 root row is the unit mass the root term
+    carries."""
+    hh, hp = _pairs(last.shape[1])
     tau = last[:, hp]
     tau[:, hh == hp] = through[:, :-1]
     return hh, hp, tau
 
 
-def _curves(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
-            tables: MomentTables):
+class WindowTable(NamedTuple):
+    """The window sums of every pair of `times` i <= j (see the module
+    docstring): `limit` row j (j + 1) / 2 + i holds W[i, j], and `free`
+    row i holds F[i], each over the grid."""
+
+    limit: np.ndarray
+    free: np.ndarray
+    grid: np.ndarray
+
+
+def window_table(tables: MomentTables, times=None) -> WindowTable:
+    """The window table of `tables` over the increasing `times` (by
+    default every time 0..n)."""
+    times = np.arange(tables.n + 1) if times is None else np.asarray(times)
+    jj, ii = _pairs(len(times))
+    abar = tables.prefix_abar.T[times]
+    a = tables.prefix_a[:, -1] - tables.prefix_a.T[times]
+    limit = np.take(abar, jj, axis=0)
+    limit -= np.take(abar, ii, axis=0)
+    limit += np.take(a, ii, axis=0)
+    limit *= tables.grid
+    limit[ii == jj] = 0.0
+    free = np.add(tables.prefix_abar[:, -1] - abar, a, out=abar)
+    return WindowTable(limit, free, tables.grid)
+
+
+def _curves(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
+            window: WindowTable):
     """Computation-limit and computation-free bounds of each profile at
-    every grid point, two (B, G) arrays, from the (B, h_f + 1) levels and
-    ends of B (n, k) profiles with h_f stages."""
+    every grid point, two (B, G) arrays, from the (B, h_f + 1) levels of B
+    (n, k) profiles with h_f stages and the `window` rows of their ends."""
     h_f = levels.shape[1] - 1
-    rh = ends[:, :h_f].T
-    through, last = _agreement(levels)
-    hh, hp, tau = _triangle(through, last)
-    diag = hh == hp
-    log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
-    log_v = levels[:, 1:].astype(float) - math.log2(limit)
+    hh, hp = _pairs(h_f)
+    _, last = _agreement(levels)
     # log2 Pr(last agreement at stage h), from the level gap where
     # 2^-s(b_h) - 2^-s(b_{h+1}) underflows to 0
     log_last = (np.log2(-np.expm1(-math.log(2) * np.diff(levels)))
                 - levels[:, :-1])
     np.log2(last, out=log_last, where=last > 0)
-    del through, last
+    # log2 v_h tau[h, h'] of each term: tau is 2^-s(b_h) on the diagonal
+    # and the last-agreement probability of h' off it
+    log_v = levels[:, 1:] - math.log2(limit)
+    log_tau = np.hstack([log_last, -levels[:, :-1]])[
+        :, np.where(hh == hp, h_f + hh, hp)]
 
-    # [h, b, g] prefix sums at r_[h]
-    SA = tables.prefix_abar.T[rh]
-    Dp = tables.prefix_a[:, -1] - tables.prefix_a.T[rh]
-    # [(h, h'), b, g] over the h' <= h triangle, row by row: log2 of the
-    # (h, h') moment (competitor over (r_[h'], r_[h]], transmitted path over
-    # (r_[h'], n]), then of the term
-    terms = np.empty((len(hh),) + SA.shape[1:])
-    for h in range(h_f):
-        row = terms[h * (h + 1) // 2:(h + 1) * (h + 2) // 2]
-        np.subtract(SA[h], SA[:h + 1], out=row)
-        row += Dp[:h + 1]
-    terms *= tables.grid
+    r = slots.T
+    terms = np.take(window.limit, (r * (r + 1) // 2)[hh] + r[hp], axis=0)
     terms += (log_v[:, hh] + log_tau).T[..., None]
     with np.errstate(over="ignore"):
         np.exp2(terms, out=terms)
-        # probability-one rows: root (0, 0) and agreeing diagonal (h, h)
-        terms[diag] = np.exp2(log_v + log_tau[:, diag]).T[..., None]
         # numpy reduces this outer axis sequentially, so each (b, g) entry
         # is summed in the same order, (h, h') row by row, whatever the
-        # batch.  The h' > h terms, where tau = 0, are exp2(-inf) = 0 and
-        # x + 0.0 == x, so they are not evaluated: the sums equal those
-        # over the full square.
+        # batch.  The h' > h terms have tau = 0 and are not evaluated.
         cle = terms.sum(axis=0)
-        del terms, row
-        # [h, b, g] in SA's memory: log2 of stage h's term over (r_[h], n]
-        free = np.add(tables.prefix_abar[:, -1] - SA, Dp, out=SA)
+        del terms
+        free = np.take(window.free, r[:h_f], axis=0)
         free += (k + log_last.T)[..., None]
-        free *= tables.grid
+        free *= window.grid
         cfe = np.exp2(free, out=free).sum(axis=0)
     return cle, cfe
 
@@ -212,16 +252,25 @@ def _grid_minima(curves: np.ndarray, grid: np.ndarray):
 
 
 def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
-                 limit: float, tables: MomentTables):
+                 limit: float, tables: MomentTables,
+                 window: WindowTable | None = None):
     """(d_cle_g, varrho_star, d_cfe_g, rho_star) of each of B (n, k)
     profiles that share their stage count, given as (B, h_f + 1) levels and
     ends: four (B,) arrays.  Each bound is minimized over the grid on its
     own, ties resolving to the smallest grid value, and each row's values
-    do not depend on the rest of the batch."""
+    do not depend on the rest of the batch.  `window` is
+    `window_table(tables)` over every time 0..n; without it a table over
+    the batch's own ends is built."""
     _check_limit(limit)
     _require_match(tables, int(ends[0, -1]), cm)
+    if window is None:
+        # a table over the batch's own ends, whose rank becomes their row
+        present = np.zeros(tables.n + 1, dtype=bool)
+        present[ends] = True
+        window = window_table(tables, np.flatnonzero(present))
+        ends = np.cumsum(present)[ends] - 1
     (cle, varrho), (cfe, rho) = (_grid_minima(c, tables.grid) for c in
-                                 _curves(levels, ends, k, limit, tables))
+                                 _curves(levels, ends, k, limit, window))
     return cle, varrho, cfe, rho
 
 

@@ -19,9 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import (MomentTables, WindowTable, batch_rows, bound_values,
+                     window_table)
 # d_e_g is not called here but stays importable from this module, where
 # perfbench's tracer looks it up by name
-from .bounds import MomentTables, batch_rows, bound_values, d_e_g  # noqa: F401
+from .bounds import d_e_g  # noqa: F401
 from .measure import CostModel
 from .tree_code import TreeProfile, profile_from_s
 
@@ -100,7 +102,8 @@ def candidate_stages(current: TreeProfile):
 
 
 def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
-                    tables: MomentTables) -> Sweep:
+                    tables: MomentTables,
+                    window: WindowTable | None = None) -> Sweep:
     """The bounds of every insertion position, in position order.
 
     Candidate j adds the bit at every t >= j, so the n candidates are
@@ -109,16 +112,19 @@ def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
     the bound formulas involve k, and its bounds equal those of
     `d_e_g(profile_from_s(n, k + 1, s + (t >= j)))`.  A candidate keeps the
     stage count h_f when j is a branching time and has h_f + 1 otherwise;
-    each group is evaluated in batches of `batch_rows` candidates.
+    each group is evaluated in batches of `batch_rows` candidates, from
+    `window`, `window_table(tables)`, built here if not given.
     """
     n, k = current.n, current.k + 1
+    if window is None:
+        window = window_table(tables)
     values = np.empty((4, n))
     for positions, levels, ends in candidate_stages(current):
         rows = batch_rows(levels.shape[1] - 1, len(tables.grid))
         for lo in range(0, len(positions), rows):
             batch = slice(lo, lo + rows)
             values[:, positions[batch] - 1] = bound_values(
-                levels[batch], ends[batch], k, cm, limit, tables)
+                levels[batch], ends[batch], k, cm, limit, tables, window)
     return Sweep(*values)
 
 
@@ -128,17 +134,19 @@ def sbp_optimize(n: int, k: int, cm: CostModel, limit: float,
 
     Runs k-1 placement steps (the first bit is fixed at t = 1 by the all-ones
     start), each sweeping all n insertion positions: at most (k-1) n bound
-    evaluations total, batched per step.  Each step's SbpStep record is the
-    winner's entry of the sweep; only the winner is built as a profile.
+    evaluations total, batched per step, all reading one window table.
+    Each step's SbpStep record is the winner's entry of the sweep; only the
+    winner is built as a profile.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
     profile = profile_from_s(n, 1, [1] * n)
+    window = window_table(tables)
     steps = []
     for step in range(1, k):
-        sweep = candidate_sweep(profile, cm, limit, tables)
+        sweep = candidate_sweep(profile, cm, limit, tables, window)
         # argmin takes the first minimum: ties go to the smallest j
         i = int(np.argmin(sweep.d_e_g))
         s = np.asarray(profile.s, dtype=np.int64)

@@ -33,15 +33,18 @@ def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
     from the (B, h_f + 1) levels and ends of B profiles with h_f stages."""
     h_f = levels.shape[1] - 1
     rh = ends[:, :h_f].T
-    # [b, h, h'] -> Pr(tau_h = b_h'): the probability 2^-levels[h'] -
-    # 2^-levels[h' + 1] of last agreeing at stage h' below the diagonal,
-    # 2^-levels[h] of agreeing through stage h on it, 0 above it
+    # [b, h, h'] -> log2 Pr(tau_h = b_h'): of the probability 2^-levels[h'] -
+    # 2^-levels[h' + 1] of last agreeing at stage h' below the diagonal
+    # (from the level gap where that difference underflows to 0),
+    # -levels[h] on it, -inf above it
     through = np.exp2(-levels.astype(float))
     last = through[:, :-1] - through[:, 1:]
-    tau = np.tril(np.broadcast_to(last[:, None, :], (len(levels), h_f, h_f)))
+    gap = np.log2(-np.expm1(-math.log(2) * np.diff(levels))) - levels[:, :-1]
+    log_last = np.where(last > 0, np.log2(np.where(last > 0, last, 1.0)), gap)
     diag = np.arange(h_f)
-    tau[:, diag, diag] = through[:, :-1]
-    log_tau = np.where(tau > 0, np.log2(np.maximum(tau, 1e-300)), -np.inf)
+    below = diag[:, None] > diag[None, :]
+    log_tau = np.where(below, log_last[:, None, :], -np.inf)
+    log_tau[:, diag, diag] = -levels[:, :-1]
     log_v = levels[:, 1:].astype(float) - math.log2(limit)
 
     # [h, b, g] prefix sums at r_[h]

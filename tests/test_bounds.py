@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
-from cort.bounds import _agreement, _binom_pmfs, _curves, _triangle
+from cort.bounds import (_agreement, _binom_pmfs, _curves, _triangle,
+                         bound_memory_bytes, window_table)
 from reference_bounds import (full_square_cle_curves, per_stage_cfe_curves,
                               term_loop_cle_m_exact)
 
@@ -62,6 +64,41 @@ class TestMomentTables:
         prof = pure_random_profile(8, 3)
         with pytest.raises(ValueError, match="do not match"):
             d_e_g(prof, model(0.2, 1.0, 8), 16, tabs)
+
+
+class TestWindowTable:
+    """window_table against the expressions of the per-stage row loop it
+    replaced, entry by entry and to the byte."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    def test_entries_equal_row_loop_expression(self, gamma):
+        tables = MomentTables(128, 0.03, gamma)
+        window = window_table(tables)
+        abar, a, grid = tables.prefix_abar.T, tables.prefix_a.T, tables.grid
+        for j in range(129):
+            # the row loop's (h, h') row: subtract, += Dp, *= grid
+            row = np.subtract(abar[j], abar[:j + 1])
+            row += a[-1] - a[:j + 1]
+            row *= grid
+            row[j] = 0.0
+            packed = window.limit[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
+            assert packed.tobytes() == row.tobytes()
+        free = (abar[-1] - abar) + (a[-1] - a)
+        assert window.free.tobytes() == free.tobytes()
+
+    def test_subset_equals_full_table_entries(self):
+        rng = np.random.default_rng(33)
+        tables = MomentTables(64, 0.05, 0.9992)
+        full = window_table(tables)
+        for _ in range(20):
+            times = np.sort(rng.choice(65, int(rng.integers(1, 66)),
+                                       replace=False))
+            sub = window_table(tables, times)
+            jj = np.repeat(times, np.arange(1, len(times) + 1))
+            ii = np.concatenate([times[:m + 1] for m in range(len(times))])
+            assert (sub.limit.tobytes()
+                    == full.limit[jj * (jj + 1) // 2 + ii].tobytes())
+            assert sub.free.tobytes() == full.free[times].tobytes()
 
 
 class TestTauDistributions:
@@ -136,6 +173,37 @@ class TestCleBound:
                   for L in [64, 256, 1024, 4096, 16384]]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_diagonal_beyond_subnormal_range_kept(self):
+        # stage 2 sits at level 1076, where its agreement probability
+        # 2^-1076 is 0 in float64; its diagonal term 2^(1614 - 1076) / L is
+        # still a third of the bound, and the curve matches a log-domain
+        # sum of every term
+        n, k, p, limit = 1400, 1614, 1e-4, 1e200
+        prof = profile_from_s(n, k, [538] * 650 + [1076] * 650 + [1614] * 100)
+        tabs = MomentTables(n, p, 1.0)
+        report = d_e_g(prof, model(p, 1.0, n), limit, tabs)
+        levels, r = prof.levels, prof.ends
+        abar, a = tabs.prefix_abar.tolist(), tabs.prefix_a.tolist()
+        curve = []
+        for g, varrho in enumerate(tabs.grid.tolist()):
+            logs = []
+            for h in range(prof.num_stages):
+                for hp in range(h + 1):
+                    if hp == h:
+                        log_tau, window = -levels[h], 0.0
+                    else:
+                        log_tau = (math.log2(2 ** (levels[hp + 1] - levels[hp])
+                                             - 1) - levels[hp + 1])
+                        window = ((abar[g][r[h]] - abar[g][r[hp]])
+                                  + (a[g][n] - a[g][r[hp]]))
+                    logs.append(levels[h + 1] - math.log2(limit) + log_tau
+                                + varrho * window)
+            top = max(logs)
+            curve.append(2.0 ** top
+                         * math.fsum(2.0 ** (x - top) for x in logs))
+        assert math.isclose(report.d_cle_g, min(curve), rel_tol=1e-12)
+        assert 2.0 ** (levels[3] - levels[2]) / limit > 0.3 * report.d_cle_g
+
     def test_invalid_limit(self):
         prof = pure_random_profile(4, 2)
         with pytest.raises(ValueError):
@@ -171,7 +239,7 @@ class TestTriangularCurves:
                                              int(rng.integers(1, 6)), n)
             limit = float(rng.choice([1, 16, 1e3, 1e9]))
             k = int(levels[0, -1])
-            cle, cfe = _curves(levels, ends, k, limit, tables)
+            cle, cfe = _curves(levels, ends, k, limit, window_table(tables))
             assert (cle.tobytes()
                     == full_square_cle_curves(levels, ends, limit,
                                               tables).tobytes())
@@ -179,14 +247,15 @@ class TestTriangularCurves:
                     == per_stage_cfe_curves(levels, ends, k, tables).tobytes())
 
     def test_extreme_levels_equal_reference(self):
-        # at n = 1100 the agreement probabilities 2^-1000 and below fall
-        # under the 1e-300 clamp or to 0, and 2^levels / L overflows to inf;
-        # the free part stays finite
+        # at n = 1100 the agreement probabilities 2^-1000 and below are
+        # subnormal or 0, and 2^levels / L overflows to inf; the free part
+        # stays finite
         rng = np.random.default_rng(32)
         tables = MomentTables(1100, 0.03, 0.9992)
         levels, ends = random_stage_rows(rng, 1100, 30, 3, 999)
         levels[:, -6:] = [1000, 1010, 1040, 1060, 1080, 1100]
-        curves, free = _curves(levels, ends, 1100, 100, tables)
+        curves, free = _curves(levels, ends, 1100, 100,
+                               window_table(tables))
         assert np.isinf(curves).any()
         assert (curves.tobytes()
                 == full_square_cle_curves(levels, ends, 100, tables).tobytes())
@@ -283,6 +352,23 @@ class TestTotalBound:
         assert doc["profile"]["s"] == list(prof.s)
         row = report.csv_row()
         assert row[0:2] == [8, 6] and row[4] == 8.0
+
+    def test_single_profile_peak_within_estimate(self):
+        # one profile of 300 stages: its window table over its own 301 ends
+        # and its 45150 limit terms are both inside the estimate
+        rng = np.random.default_rng(34)
+        arrivals = np.r_[1, np.sort(rng.choice(np.arange(2, 1101), 299,
+                                               replace=False))]
+        prof = profile_from_arrivals(1100, arrivals)
+        assert prof.num_stages == 300
+        cm, tabs = model(0.03, 0.9992, 1100), MomentTables(1100, 0.03, 0.9992)
+        tracemalloc.start()
+        try:
+            d_e_g(prof, cm, 1e9, tabs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_memory_bytes(1100, 300, len(tabs.grid), 301)
 
     def test_grid_refinement_never_increases(self):
         for p, gamma in [(0.03, 1.0), (0.02, 0.9992)]:

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from cort import (BscChannel, CostModel, MomentTables, candidate_sweep,
                   d_cle_m_exact, d_e_g, profile_from_arrivals, profile_from_s,
                   sbp_optimize)
+from cort import sbp
 from cort.bounds import batch_rows, bound_memory_bytes
 from cort.sbp import candidate_stages
 
@@ -17,6 +22,16 @@ def setup(n, p, gamma=1.0, grid_points=10):
     cm = CostModel(channel=BscChannel(p), gamma=gamma, n=n)
     tables = MomentTables(n, p, gamma, chernoff_grid(grid_points))
     return cm, tables
+
+
+def on_openblas():
+    """Whether numpy's BLAS is OpenBLAS, whose kernel OPENBLAS_CORETYPE
+    selects."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return False
+    return "openblas" in blas["name"].lower()
 
 
 def suffix_increment(s, j):
@@ -77,6 +92,25 @@ class TestCandidateSweep:
             limit = float(rng.choice([16, 1e3, 1e6, 1e9]))
             sweep = candidate_sweep(current, cm, limit, tables).d_e_g
             assert sweep.tolist() == scalar_sweep(current, cm, limit, tables)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9992])
+    def test_standalone_equals_step_inside_optimize(self, gamma, monkeypatch):
+        # sbp_optimize sweeps from one window table over its whole call; a
+        # standalone sweep builds its own and returns the same bytes
+        cm, tables = setup(128, 0.03, gamma=gamma)
+        seen = []
+
+        def recorded(current, *args):
+            sweep = candidate_sweep(current, *args)
+            seen.append((current, sweep))
+            return sweep
+
+        monkeypatch.setattr(sbp, "candidate_sweep", recorded)
+        sbp_optimize(128, 64, cm, 1e9, tables)
+        assert len(seen) == 63
+        for current, sweep in seen:
+            alone = candidate_sweep(current, cm, 1e9, tables)
+            assert np.array(alone).tobytes() == np.array(sweep).tobytes()
 
     def test_peak_memory_within_estimate(self):
         # a mid-sweep (128, 33) step on a 200-point grid: its candidates
@@ -257,6 +291,36 @@ class TestPinnedOutputs:
                  st.varrho_star, st.rho_star)
                 for st in trace.steps] == self.PINNED_STEPS[gamma]
         assert trace.final_profile.s == self.FINAL_S
+
+    @pytest.mark.skipif(
+        platform.machine() not in ("x86_64", "AMD64") or not on_openblas(),
+        reason="needs numpy on OpenBLAS on x86-64")
+    def test_sbp_trace_on_second_blas_kernel(self):
+        # the bound path calls no BLAS routine, so the pinned traces hold
+        # whichever kernel OpenBLAS picks at run time
+        kernel = ("Haswell" if os.environ.get("OPENBLAS_CORETYPE") == "Nehalem"
+                  else "Nehalem")
+        script = (
+            "import json\n"
+            "from cort import (BscChannel, CostModel, MomentTables,\n"
+            "                  sbp_optimize)\n"
+            "out = {}\n"
+            "for gamma in (1.0, 0.9992):\n"
+            "    cm = CostModel(channel=BscChannel(0.05), gamma=gamma, n=32)\n"
+            "    trace = sbp_optimize(32, 8, cm, 4096,\n"
+            "                         MomentTables(32, 0.05, gamma))\n"
+            "    out[repr(gamma)] = [\n"
+            "        [st.position, st.d_e_g, st.d_cle_g, st.d_cfe_g,\n"
+            "         st.varrho_star, st.rho_star] for st in trace.steps]\n"
+            "print(json.dumps(out))\n")
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        traces = json.loads(done.stdout)
+        for gamma, steps in self.PINNED_STEPS.items():
+            assert [tuple(st) for st in traces[repr(gamma)]] == steps
 
     def test_exact_cle_of_final_profile(self):
         cm, _ = setup(32, 0.05)
