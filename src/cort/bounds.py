@@ -31,13 +31,16 @@ over (t_i, t_j] and the transmitted path over (t_i, n], is
 on the pair and on (n, p, gamma), so `window_table` evaluates it once for
 every pair i <= j of a set of times: W[i, j, g] is that moment times
 grid[g], W[i, i, g] = 0.0, and F[i, g] = (P-bar[g, n] - P-bar[g, t_i])
-+ (P[g, n] - P[g, t_i]).  Limit term (h, h') is exp2(W[r_[h'], r_[h]] +
-log2 v_h + log2 tau[h, h']), so the zero diagonal gives the exact weight
-above bit for bit; free term h is exp2((F[r_[h]] + k + log2 Pr(last
-agreement at stage h)) grid[g]).  log2 tau comes from the levels, -s(b_h)
-on the diagonal and log2 Pr(last agreement at h') off it, so no
-term is lost where 2^-s(b_h) underflows.  `sbp_optimize` builds one table
-per call over every time 0..n, and `d_e_g` one over its profile's ends.
++ (P[g, n] - P[g, t_i]).  W is filled one row block j at a time (subtract,
+add, zero the diagonal, scale by the grid), so its build holds no second
+full-size array.  Limit term (h, h') is exp2(W[r_[h'], r_[h]] + log2 v_h +
+log2 tau[h, h']), so the zero diagonal gives the exact weight above bit for
+bit; free term h is exp2((F[r_[h]] + k + log2 Pr(last agreement at stage
+h)) grid[g]).  log2 tau comes from the levels, -s(b_h) on the diagonal and
+log2 Pr(last agreement at h') off it, so no term is lost where 2^-s(b_h)
+underflows.  `bound_values` reads the table its caller builds:
+`sbp_optimize` one per call over every time 0..n, `d_e_g` one over its
+profile's ends.
 
 Reported values are raw (unclipped) sums; presentation layers clip to 1
 (the `*_clipped` keys of `BoundReport.to_json_dict`).
@@ -130,15 +133,14 @@ def bound_memory_bytes(n: int, stages: int, points: int,
     """Estimated peak memory of MomentTables, a window table over `times`
     times (all n + 1 by default, as `sbp_optimize` builds) and one batched
     bound evaluation of n-time profiles with at most `stages` stages on a
-    grid of `points`: 64 B per grid point and time for the moment tables;
-    per stored window entry 8 B a grid point for the table, as much again
-    for the temporary its build holds, and 16 B of build indices; and
-    _BYTES_PER_ELEMENT per element of the largest sub-batch (all measured
-    peaks)."""
+    grid of `points`: 64 B per grid point and time for the moment tables,
+    which also covers the O(times points) rows a table's build holds; 8 B
+    per grid point and stored window entry; and _BYTES_PER_ELEMENT per
+    element of the largest sub-batch (all measured peaks)."""
     times = n + 1 if times is None else times
     entries = times * (times + 1) // 2 + times
     elements = max(_profile_elements(stages, points), _BATCH_ELEMENTS)
-    return (64 * points * (n + 1) + (16 * points + 16) * entries
+    return (64 * points * (n + 1) + 8 * points * entries
             + _BYTES_PER_ELEMENT * elements)
 
 
@@ -194,16 +196,17 @@ class WindowTable(NamedTuple):
 
 def window_table(tables: MomentTables, times=None) -> WindowTable:
     """The window table of `tables` over the increasing `times` (by
-    default every time 0..n)."""
+    default every time 0..n), filled one row block j at a time."""
     times = np.arange(tables.n + 1) if times is None else np.asarray(times)
-    jj, ii = _pairs(len(times))
     abar = tables.prefix_abar.T[times]
     a = tables.prefix_a[:, -1] - tables.prefix_a.T[times]
-    limit = np.take(abar, jj, axis=0)
-    limit -= np.take(abar, ii, axis=0)
-    limit += np.take(a, ii, axis=0)
-    limit *= tables.grid
-    limit[ii == jj] = 0.0
+    limit = np.empty((len(times) * (len(times) + 1) // 2, len(tables.grid)))
+    for j in range(len(times)):
+        block = limit[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
+        np.subtract(abar[j], abar[:j + 1], out=block)
+        block += a[:j + 1]
+        block[j] = 0.0
+        block *= tables.grid
     free = np.add(tables.prefix_abar[:, -1] - abar, a, out=abar)
     return WindowTable(limit, free, tables.grid)
 
@@ -244,34 +247,18 @@ def _curves(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
     return cle, cfe
 
 
-def _grid_minima(curves: np.ndarray, grid: np.ndarray):
-    """Each row's minimum over the grid and the grid value attaining it;
-    ties resolve to the smallest grid value."""
-    i = np.argmin(curves, axis=1)
-    return curves[np.arange(len(curves)), i], grid[i]
-
-
-def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, cm: CostModel,
-                 limit: float, tables: MomentTables,
-                 window: WindowTable | None = None):
+def bound_values(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
+                 window: WindowTable):
     """(d_cle_g, varrho_star, d_cfe_g, rho_star) of each of B (n, k)
     profiles that share their stage count, given as (B, h_f + 1) levels and
-    ends: four (B,) arrays.  Each bound is minimized over the grid on its
-    own, ties resolving to the smallest grid value, and each row's values
-    do not depend on the rest of the batch.  `window` is
-    `window_table(tables)` over every time 0..n; without it a table over
-    the batch's own ends is built."""
-    _check_limit(limit)
-    _require_match(tables, int(ends[0, -1]), cm)
-    if window is None:
-        # a table over the batch's own ends, whose rank becomes their row
-        present = np.zeros(tables.n + 1, dtype=bool)
-        present[ends] = True
-        window = window_table(tables, np.flatnonzero(present))
-        ends = np.cumsum(present)[ends] - 1
-    (cle, varrho), (cfe, rho) = (_grid_minima(c, tables.grid) for c in
-                                 _curves(levels, ends, k, limit, window))
-    return cle, varrho, cfe, rho
+    the `window` rows of their ends: four (B,) arrays.  Each bound is
+    minimized over the grid on its own, ties resolving to the smallest grid
+    value, and each row's values do not depend on the rest of the batch."""
+    values = []
+    for curves in _curves(levels, slots, k, limit, window):
+        i = np.argmin(curves, axis=1)  # the first minimum
+        values += [curves[np.arange(len(curves)), i], window.grid[i]]
+    return values
 
 
 @dataclass(frozen=True)
@@ -322,10 +309,13 @@ def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,
           tables: MomentTables) -> BoundReport:
     """Total frame-error bound: limit part plus computation-free part, each
     minimized over the grid independently (`bound_values` of a batch of
-    one)."""
+    one, from a window table over the profile's ends)."""
+    _check_limit(limit)
+    _require_match(tables, profile.n, cm)
+    window = window_table(tables, profile.ends)
     cle, varrho, cfe, rho = (float(v[0]) for v in bound_values(
-        np.array([profile.levels]), np.array([profile.ends]), profile.k, cm,
-        limit, tables))
+        np.array([profile.levels]), np.arange(profile.num_stages + 1)[None],
+        profile.k, limit, window))
     return BoundReport(d_cle_g=cle, d_cfe_g=cfe, d_e_g=cle + cfe,
                        varrho_star=varrho, rho_star=rho, profile=profile,
                        p=cm.p, gamma=cm.gamma, limit=float(limit))
@@ -342,12 +332,25 @@ def _binom_pmfs(n: int, p: float) -> np.ndarray:
     return rows
 
 
+def _window_probabilities(n: int, p: float) -> np.ndarray:
+    """P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p)) for l1, l2 in 0..n,
+    each a sum over the value j of Binom(l2, p), added one j at a time in
+    increasing order, so that no BLAS kernel sets the order."""
+    below = np.cumsum(_binom_pmfs(n, 0.5), axis=1)
+    P = np.zeros((n + 1, n + 1))
+    for below_j, pmf_j in zip(below.T, _binom_pmfs(n, p).T):
+        P += np.multiply.outer(below_j, pmf_j)
+    return P
+
+
 def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
     """Exact expected-node-count bound (no Chernoff step) for gamma = 1.
 
     With undiscounted costs both sides of every comparison are binomial
     mismatch counts scaled by the same constant, so each window probability
-    is an exact double-binomial sum.
+    is an exact double-binomial sum (`_window_probabilities`).  Every sum
+    runs in a fixed order, whatever the BLAS kernel: each probability over
+    increasing values, and the terms in (h, h') row order.
     """
     if cm.gamma != 1.0:
         raise ValueError("exact evaluation requires gamma = 1")
@@ -355,8 +358,7 @@ def d_cle_m_exact(profile: TreeProfile, cm: CostModel, limit: float) -> float:
     n = profile.n
     r, levels = np.array(profile.ends), np.array([profile.levels])
     hh, hp, tau = _triangle(*_agreement(levels))
-    # P[l1, l2] = Pr(Binom(l1, 1/2) <= Binom(l2, p))
-    P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
+    P = _window_probabilities(n, cm.p)
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.ldexp(1.0 / limit, levels[0, hh + 1])  # rounds as 2^level / L
         terms = v * tau[0] * P[r[hh] - r[hp], n - r[hp]]
@@ -372,7 +374,8 @@ def rcu_exact_bsc(n: int, k: int, p: float) -> float:
 
     Conditioning on the error weight w, a uniform competitor beats the
     transmitted word iff its distance to y is at most w, which happens with
-    probability Pr(Binom(n, 1/2) <= w).
+    probability Pr(Binom(n, 1/2) <= w).  The terms are added in increasing
+    w by a sequential cumsum, so no BLAS kernel sets the order.
     """
     if n > RCU_MAX_N:
         raise ValueError(f"rcu_exact_bsc needs n <= {RCU_MAX_N} so that "
@@ -382,7 +385,7 @@ def rcu_exact_bsc(n: int, k: int, p: float) -> float:
     # 1 is then exact
     with np.errstate(over="ignore"):
         union = (np.ldexp(1.0, k) - 1.0) * beat
-    return float(_binom_pmfs(n, p)[n] @ np.minimum(1.0, union))
+    return float(np.cumsum(_binom_pmfs(n, p)[n] * np.minimum(1.0, union))[-1])
 
 
 def gallager_reference_bsc(n: int, k: int, p: float, rho_grid=None) -> float:

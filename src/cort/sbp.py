@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (MomentTables, WindowTable, batch_rows, bound_values,
-                     window_table)
+from .bounds import (MomentTables, WindowTable, _check_limit, _require_match,
+                     batch_rows, bound_values, window_table)
 # d_e_g is not called here but stays importable from this module, where
 # perfbench's tracer looks it up by name
 from .bounds import d_e_g  # noqa: F401
@@ -116,6 +116,8 @@ def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
     `window`, `window_table(tables)`, built here if not given.
     """
     n, k = current.n, current.k + 1
+    _check_limit(limit)
+    _require_match(tables, n, cm)
     if window is None:
         window = window_table(tables)
     values = np.empty((4, n))
@@ -124,7 +126,7 @@ def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
         for lo in range(0, len(positions), rows):
             batch = slice(lo, lo + rows)
             values[:, positions[batch] - 1] = bound_values(
-                levels[batch], ends[batch], k, cm, limit, tables, window)
+                levels[batch], ends[batch], k, limit, window)
     return Sweep(*values)
 
 

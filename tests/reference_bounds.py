@@ -13,8 +13,9 @@ into its limit pass: it gathers the window sums at r_[h] and the
 last-agreement probabilities on its own.
 
 `term_loop_cle_m_exact` is the term-by-term loop that `d_cle_m_exact`'s
-gather replaced; it shares its inputs, `_triangle` and `_binom_pmfs`, and
-checks only the gather and the summation order.
+gather replaced; it shares its inputs, `_triangle` and
+`_window_probabilities`, and checks only the gather and the summation
+order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from cort import MomentTables
-from cort.bounds import _agreement, _binom_pmfs, _triangle
+from cort.bounds import _agreement, _triangle, _window_probabilities
 
 
 def full_square_cle_curves(levels: np.ndarray, ends: np.ndarray,
@@ -83,7 +84,7 @@ def term_loop_cle_m_exact(profile, cm, limit: float) -> float:
     row."""
     n, r, levels = profile.n, profile.ends, profile.levels
     hh, hp, tau = _triangle(*_agreement(np.array([levels])))
-    P = np.cumsum(_binom_pmfs(n, 0.5), axis=1) @ _binom_pmfs(n, cm.p).T
+    P = _window_probabilities(n, cm.p)
     total = 0.0
     for i, (h, h_prime) in enumerate(zip(hh.tolist(), hp.tolist())):
         v = 2.0 ** float(levels[h + 1]) / limit

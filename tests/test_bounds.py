@@ -12,7 +12,8 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
 from cort.bounds import (_agreement, _binom_pmfs, _curves, _triangle,
-                         bound_memory_bytes, window_table)
+                         _window_probabilities, bound_memory_bytes,
+                         window_table)
 from reference_bounds import (full_square_cle_curves, per_stage_cfe_curves,
                               term_loop_cle_m_exact)
 
@@ -99,6 +100,20 @@ class TestWindowTable:
             assert (sub.limit.tobytes()
                     == full.limit[jj * (jj + 1) // 2 + ii].tobytes())
             assert sub.free.tobytes() == full.free[times].tobytes()
+
+    @pytest.mark.parametrize("n, points", [(600, 10), (128, 200)])
+    def test_build_peak_within_table_and_rows(self, n, points):
+        # the build holds the table and a few (n + 1, points) rows of prefix
+        # sums, never a second full-size array
+        tables = MomentTables(n, 0.05, 0.9992, chernoff_grid(points))
+        tracemalloc.start()
+        try:
+            window = window_table(tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 8 * (n + 1) * points
+        assert peak <= window.limit.nbytes + window.free.nbytes + 4 * rows
 
 
 class TestTauDistributions:
@@ -391,6 +406,17 @@ def test_binom_pmfs_match_scipy(n, p):
                     for l in range(n + 1)])
     np.testing.assert_allclose(rows, ref, rtol=1e-12,
                                atol=np.finfo(float).tiny)
+
+
+def test_window_probabilities_match_scipy():
+    # P[l1, l2] = sum over j of Pr(Binom(l2, p) = j) Pr(Binom(l1, 1/2) <= j)
+    n, p = 128, 0.05
+    P = _window_probabilities(n, p)
+    for l1, l2 in [(0, 0), (1, 128), (17, 40), (64, 128), (128, 1),
+                   (128, 128)]:
+        j = np.arange(l2 + 1)
+        ref = np.sum(stats.binom.pmf(j, l2, p) * stats.binom.cdf(j, l1, 0.5))
+        assert math.isclose(P[l1, l2], ref, rel_tol=1e-12)
 
 
 class TestExactCle:

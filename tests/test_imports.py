@@ -56,5 +56,5 @@ def test_commands_load_neither_scipy_nor_the_pool(tmp_path):
     assert doc["loaded"] == []
     assert doc["random_at_import"] is False
     # The values tests/test_sbp.py and tests/test_bounds.py pin.
-    assert doc["exact"] == 0.01759931167367979
+    assert doc["exact"] == 0.017599311673679792
     assert abs(doc["rcu"] - 0.3475) < 1e-12

@@ -11,7 +11,7 @@ import pytest
 
 from cort import (BscChannel, CostModel, MomentTables, candidate_sweep,
                   d_cle_m_exact, d_e_g, profile_from_arrivals, profile_from_s,
-                  sbp_optimize)
+                  rcu_exact_bsc, sbp_optimize)
 from cort import sbp
 from cort.bounds import batch_rows, bound_memory_bytes
 from cort.sbp import candidate_stages
@@ -32,6 +32,25 @@ def on_openblas():
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         return False
     return "openblas" in blas["name"].lower()
+
+
+second_blas_kernel = pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or not on_openblas(),
+    reason="needs numpy on OpenBLAS on x86-64")
+
+
+def run_on_second_blas_kernel(script):
+    """`script`'s `out`, as JSON, from a fresh process under an OpenBLAS
+    kernel other than the one OPENBLAS_CORETYPE names here."""
+    kernel = ("Haswell" if os.environ.get("OPENBLAS_CORETYPE") == "Nehalem"
+              else "Nehalem")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json\n" + script + "print(json.dumps(out))\n"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
 
 
 def suffix_increment(s, j):
@@ -282,6 +301,7 @@ class TestPinnedOutputs:
         ],
     }
     FINAL_S = (6,) * 14 + (8,) * 18
+    EXACT_CLE = 0.017599311673679792
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     def test_sbp_trace(self, gamma):
@@ -292,16 +312,11 @@ class TestPinnedOutputs:
                 for st in trace.steps] == self.PINNED_STEPS[gamma]
         assert trace.final_profile.s == self.FINAL_S
 
-    @pytest.mark.skipif(
-        platform.machine() not in ("x86_64", "AMD64") or not on_openblas(),
-        reason="needs numpy on OpenBLAS on x86-64")
+    @second_blas_kernel
     def test_sbp_trace_on_second_blas_kernel(self):
         # the bound path calls no BLAS routine, so the pinned traces hold
         # whichever kernel OpenBLAS picks at run time
-        kernel = ("Haswell" if os.environ.get("OPENBLAS_CORETYPE") == "Nehalem"
-                  else "Nehalem")
-        script = (
-            "import json\n"
+        traces = run_on_second_blas_kernel(
             "from cort import (BscChannel, CostModel, MomentTables,\n"
             "                  sbp_optimize)\n"
             "out = {}\n"
@@ -311,14 +326,7 @@ class TestPinnedOutputs:
             "                         MomentTables(32, 0.05, gamma))\n"
             "    out[repr(gamma)] = [\n"
             "        [st.position, st.d_e_g, st.d_cle_g, st.d_cfe_g,\n"
-            "         st.varrho_star, st.rho_star] for st in trace.steps]\n"
-            "print(json.dumps(out))\n")
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120,
-                              check=True)
-        traces = json.loads(done.stdout)
+            "         st.varrho_star, st.rho_star] for st in trace.steps]\n")
         for gamma, steps in self.PINNED_STEPS.items():
             assert [tuple(st) for st in traces[repr(gamma)]] == steps
 
@@ -327,4 +335,20 @@ class TestPinnedOutputs:
         prof = profile_from_s(32, 8, self.FINAL_S)
         exact = d_cle_m_exact(prof, cm, 4096)
         assert type(exact) is float
-        assert exact == 0.01759931167367979
+        assert exact == self.EXACT_CLE
+
+    @second_blas_kernel
+    def test_exact_references_on_second_blas_kernel(self):
+        # both exact references sum in an order that no BLAS kernel sets, so
+        # they equal this process's values, the first of them pinned above
+        cm, _ = setup(32, 0.05)
+        here = [d_cle_m_exact(profile_from_s(32, 8, self.FINAL_S), cm, 4096),
+                rcu_exact_bsc(256, 128, 0.05)]
+        out = run_on_second_blas_kernel(
+            "from cort import (BscChannel, CostModel, d_cle_m_exact,\n"
+            "                  profile_from_s, rcu_exact_bsc)\n"
+            "cm = CostModel(channel=BscChannel(0.05), gamma=1.0, n=32)\n"
+            f"prof = profile_from_s(32, 8, {self.FINAL_S!r})\n"
+            "out = [d_cle_m_exact(prof, cm, 4096),\n"
+            "       rcu_exact_bsc(256, 128, 0.05)]\n")
+        assert out == here
