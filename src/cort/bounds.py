@@ -28,19 +28,19 @@ The window table.  With P-bar and P the prefix sums of `MomentTables`, the
 log2 moment of the window pair (t_i, t_j] at grid point g, the competitor
 over (t_i, t_j] and the transmitted path over (t_i, n], is
 (P-bar[g, t_j] - P-bar[g, t_i]) + (P[g, n] - P[g, t_i]).  It depends only
-on the pair and on (n, p, gamma), so `window_table` evaluates it once for
-every pair i <= j of a set of times: W[i, j, g] is that moment times
-grid[g], W[i, i, g] = 0.0, and F[i, g] = (P-bar[g, n] - P-bar[g, t_i])
-+ (P[g, n] - P[g, t_i]).  W is filled one row block j at a time (subtract,
-add, zero the diagonal, scale by the grid), so its build holds no second
-full-size array.  Limit term (h, h') is exp2(W[r_[h'], r_[h]] + log2 v_h +
-log2 tau[h, h']), so the zero diagonal gives the exact weight above bit for
-bit; free term h is exp2((F[r_[h]] + k + log2 Pr(last agreement at stage
-h)) grid[g]).  log2 tau comes from the levels, -s(b_h) on the diagonal and
-log2 Pr(last agreement at h') off it, so no term is lost where 2^-s(b_h)
-underflows.  `bound_values` reads the table its caller builds:
-`sbp_optimize` one per call over every time 0..n, `d_e_g` one over its
-profile's ends.
+on the pair and on (n, p, gamma), so `MomentTables` evaluates it once, for
+every pair of times 0 <= t_i <= t_j <= n: W[t_i, t_j, g] is that moment
+times grid[g], W[t, t, g] = 0.0, and F[t_i, g] = (P-bar[g, n] - P-bar[g,
+t_i]) + (P[g, n] - P[g, t_i]).  W is filled one row block t_j at a time
+(subtract, add), then its diagonal is zeroed and the whole table scaled by
+the grid, so its build holds no second full-size array.  Limit term
+(h, h') is exp2(W[r_[h'], r_[h]] + log2 v_h + log2 tau[h, h']), so the
+zero diagonal gives the exact weight above bit for bit; free term h is
+exp2((F[r_[h]] + k + log2 Pr(last agreement at stage h)) grid[g]).
+log2 tau comes from the levels, -s(b_h) on the diagonal and log2 Pr(last
+agreement at h') off it, so no term is lost where 2^-s(b_h) underflows.
+Every bound evaluation gathers its terms from the table of the
+`MomentTables` it is given, at its profiles' ends.
 
 Reported values are raw (unclipped) sums; presentation layers clip to 1
 (the `*_clipped` keys of `BoundReport.to_json_dict`).
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,13 +68,16 @@ def chernoff_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
 
 
 class MomentTables:
-    """Per-symbol log2 moments of the discounted cost, with prefix sums.
+    """Per-symbol log2 moments of the discounted cost, with prefix sums and
+    the window table built from them.
 
     For each grid value (through vartheta = 1/(1+grid)) and each time t:
       log_moment_abar[g, t-1] = log2 E[2^(-vartheta d_t)]   (competitor symbol)
       log_moment_a[g, t-1]    = log2 E[2^(+vartheta d_t)]   (transmitted symbol)
     prefix_abar / prefix_a hold leading-zero cumulative sums so any
-    contiguous product over (t0, t1] is one subtraction.
+    contiguous product over (t0, t1] is one subtraction.  `window` row
+    j (j + 1) / 2 + i holds W[i, j] and `free` row i holds F[i], each over
+    the grid, for all times 0 <= i <= j <= n (see the module docstring).
     """
 
     def __init__(self, n: int, p: float, gamma: float, grid=None):
@@ -98,6 +100,22 @@ class MomentTables:
         zeros = np.zeros((len(grid), 1))
         self.prefix_abar = np.hstack([zeros, np.cumsum(self.log_moment_abar, axis=1)])
         self.prefix_a = np.hstack([zeros, np.cumsum(self.log_moment_a, axis=1)])
+        # the window table, one row block j at a time (subtract, add), then
+        # its diagonal rows j (j + 3) / 2 zeroed and all of it scaled by the
+        # grid, in place; besides it the build holds a few (n + 1, G) rows
+        del tilt
+        abar, a = self.prefix_abar.T.copy(), self.prefix_a.T.copy()
+        a = a[-1] - a
+        times = self.n + 1
+        self.window = np.empty((times * (times + 1) // 2, len(grid)))
+        for j in range(times):
+            block = self.window[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
+            np.subtract(abar[j], abar[:j + 1], out=block)
+            block += a[:j + 1]
+        j = np.arange(times)
+        self.window[j * (j + 3) // 2] = 0.0
+        self.window *= grid
+        self.free = np.add(abar[-1] - abar, a, out=abar)
 
 
 # Peak bytes of a batched bound evaluation per element of its largest
@@ -128,17 +146,17 @@ def batch_rows(stages: int, points: int) -> int:
     return max(1, _BATCH_ELEMENTS // _profile_elements(stages, points))
 
 
-def bound_memory_bytes(n: int, stages: int, points: int,
-                       times: int | None = None) -> int:
-    """Estimated peak memory of MomentTables, a window table over `times`
-    times (all n + 1 by default, as `sbp_optimize` builds) and one batched
-    bound evaluation of n-time profiles with at most `stages` stages on a
-    grid of `points`: 64 B per grid point and time for the moment tables,
-    which also covers the O(times points) rows a table's build holds; 8 B
-    per grid point and stored window entry; and _BYTES_PER_ELEMENT per
-    element of the largest sub-batch (all measured peaks)."""
-    times = n + 1 if times is None else times
-    entries = times * (times + 1) // 2 + times
+def bound_memory_bytes(n: int, stages: int, points: int) -> int:
+    """Estimated peak memory of MomentTables, with its window table over
+    every pair of the n + 1 times, and one batched bound evaluation of
+    n-time profiles with at most `stages` stages on a grid of `points`:
+    64 B per grid point and time for the moment tables, which also covers
+    the O(n points) rows the window table's build holds; 8 B per grid
+    point and stored window entry; and _BYTES_PER_ELEMENT per element of
+    the largest sub-batch (all measured peaks).  `d_e_g` and
+    `sbp_optimize` both hold the whole table, so one estimate serves
+    both."""
+    entries = (n + 1) * (n + 2) // 2 + n + 1
     elements = max(_profile_elements(stages, points), _BATCH_ELEMENTS)
     return (64 * points * (n + 1) + 8 * points * entries
             + _BYTES_PER_ELEMENT * elements)
@@ -184,38 +202,12 @@ def _triangle(through: np.ndarray, last: np.ndarray):
     return hh, hp, tau
 
 
-class WindowTable(NamedTuple):
-    """The window sums of every pair of `times` i <= j (see the module
-    docstring): `limit` row j (j + 1) / 2 + i holds W[i, j], and `free`
-    row i holds F[i], each over the grid."""
-
-    limit: np.ndarray
-    free: np.ndarray
-    grid: np.ndarray
-
-
-def window_table(tables: MomentTables, times=None) -> WindowTable:
-    """The window table of `tables` over the increasing `times` (by
-    default every time 0..n), filled one row block j at a time."""
-    times = np.arange(tables.n + 1) if times is None else np.asarray(times)
-    abar = tables.prefix_abar.T[times]
-    a = tables.prefix_a[:, -1] - tables.prefix_a.T[times]
-    limit = np.empty((len(times) * (len(times) + 1) // 2, len(tables.grid)))
-    for j in range(len(times)):
-        block = limit[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
-        np.subtract(abar[j], abar[:j + 1], out=block)
-        block += a[:j + 1]
-        block[j] = 0.0
-        block *= tables.grid
-    free = np.add(tables.prefix_abar[:, -1] - abar, a, out=abar)
-    return WindowTable(limit, free, tables.grid)
-
-
-def _curves(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
-            window: WindowTable):
+def _curves(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
+            tables: MomentTables):
     """Computation-limit and computation-free bounds of each profile at
-    every grid point, two (B, G) arrays, from the (B, h_f + 1) levels of B
-    (n, k) profiles with h_f stages and the `window` rows of their ends."""
+    every grid point, two (B, G) arrays, from the (B, h_f + 1) levels and
+    ends of B (n, k) profiles with h_f stages, gathered from the window
+    table of `tables` at their ends."""
     h_f = levels.shape[1] - 1
     hh, hp = _pairs(h_f)
     _, last = _agreement(levels)
@@ -230,8 +222,8 @@ def _curves(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
     log_tau = np.hstack([log_last, -levels[:, :-1]])[
         :, np.where(hh == hp, h_f + hh, hp)]
 
-    r = slots.T
-    terms = np.take(window.limit, (r * (r + 1) // 2)[hh] + r[hp], axis=0)
+    r = ends.T
+    terms = np.take(tables.window, (r * (r + 1) // 2)[hh] + r[hp], axis=0)
     terms += (log_v[:, hh] + log_tau).T[..., None]
     with np.errstate(over="ignore"):
         np.exp2(terms, out=terms)
@@ -240,24 +232,24 @@ def _curves(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
         # batch.  The h' > h terms have tau = 0 and are not evaluated.
         cle = terms.sum(axis=0)
         del terms
-        free = np.take(window.free, r[:h_f], axis=0)
+        free = np.take(tables.free, r[:h_f], axis=0)
         free += (k + log_last.T)[..., None]
-        free *= window.grid
+        free *= tables.grid
         cfe = np.exp2(free, out=free).sum(axis=0)
     return cle, cfe
 
 
-def bound_values(levels: np.ndarray, slots: np.ndarray, k: int, limit: float,
-                 window: WindowTable):
+def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
+                 tables: MomentTables):
     """(d_cle_g, varrho_star, d_cfe_g, rho_star) of each of B (n, k)
     profiles that share their stage count, given as (B, h_f + 1) levels and
-    the `window` rows of their ends: four (B,) arrays.  Each bound is
+    ends, from the window table of `tables`: four (B,) arrays.  Each bound is
     minimized over the grid on its own, ties resolving to the smallest grid
     value, and each row's values do not depend on the rest of the batch."""
     values = []
-    for curves in _curves(levels, slots, k, limit, window):
+    for curves in _curves(levels, ends, k, limit, tables):
         i = np.argmin(curves, axis=1)  # the first minimum
-        values += [curves[np.arange(len(curves)), i], window.grid[i]]
+        values += [curves[np.arange(len(curves)), i], tables.grid[i]]
     return values
 
 
@@ -309,13 +301,12 @@ def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,
           tables: MomentTables) -> BoundReport:
     """Total frame-error bound: limit part plus computation-free part, each
     minimized over the grid independently (`bound_values` of a batch of
-    one, from a window table over the profile's ends)."""
+    one)."""
     _check_limit(limit)
     _require_match(tables, profile.n, cm)
-    window = window_table(tables, profile.ends)
     cle, varrho, cfe, rho = (float(v[0]) for v in bound_values(
-        np.array([profile.levels]), np.arange(profile.num_stages + 1)[None],
-        profile.k, limit, window))
+        np.array([profile.levels]), np.array([profile.ends]), profile.k,
+        limit, tables))
     return BoundReport(d_cle_g=cle, d_cfe_g=cfe, d_e_g=cle + cfe,
                        varrho_star=varrho, rho_star=rho, profile=profile,
                        p=cm.p, gamma=cm.gamma, limit=float(limit))

@@ -147,10 +147,10 @@ def _resolve_profile(args):
     return prof
 
 
-def _validate_grid_points(args, n: int, stages: int, times=None):
+def _validate_grid_points(args, n: int, stages: int):
     if args.grid_points < 2:
         raise CliError(f"--grid-points must be at least 2, got {args.grid_points}")
-    est = bound_memory_bytes(n, stages, args.grid_points, times)
+    est = bound_memory_bytes(n, stages, args.grid_points)
     if est > MEMORY_CEILING:
         raise CliError(
             f"--grid-points {args.grid_points} could need about {est / 1e9:.1f} "
@@ -191,10 +191,9 @@ def cmd_bound(args) -> int:
     _validate_channel(args)
     if args.profile == "pure" and args.n is not None:
         # a pure profile has one stage: reject its grid before building it
-        _validate_grid_points(args, args.n, 1, 2)
+        _validate_grid_points(args, args.n, 1)
     prof = _resolve_profile(args)
-    # d_e_g builds its window table over the profile's own ends
-    _validate_grid_points(args, prof.n, prof.num_stages, prof.num_stages + 1)
+    _validate_grid_points(args, prof.n, prof.num_stages)
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
     tables = MomentTables(prof.n, args.p, args.gamma,

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (MomentTables, WindowTable, _check_limit, _require_match,
-                     batch_rows, bound_values, window_table)
+from .bounds import (MomentTables, _check_limit, _require_match, batch_rows,
+                     bound_values)
 # d_e_g is not called here but stays importable from this module, where
 # perfbench's tracer looks it up by name
 from .bounds import d_e_g  # noqa: F401
@@ -102,8 +102,7 @@ def candidate_stages(current: TreeProfile):
 
 
 def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
-                    tables: MomentTables,
-                    window: WindowTable | None = None) -> Sweep:
+                    tables: MomentTables) -> Sweep:
     """The bounds of every insertion position, in position order.
 
     Candidate j adds the bit at every t >= j, so the n candidates are
@@ -113,20 +112,18 @@ def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
     `d_e_g(profile_from_s(n, k + 1, s + (t >= j)))`.  A candidate keeps the
     stage count h_f when j is a branching time and has h_f + 1 otherwise;
     each group is evaluated in batches of `batch_rows` candidates, from
-    `window`, `window_table(tables)`, built here if not given.
+    the window table of `tables`.
     """
     n, k = current.n, current.k + 1
     _check_limit(limit)
     _require_match(tables, n, cm)
-    if window is None:
-        window = window_table(tables)
     values = np.empty((4, n))
     for positions, levels, ends in candidate_stages(current):
         rows = batch_rows(levels.shape[1] - 1, len(tables.grid))
         for lo in range(0, len(positions), rows):
             batch = slice(lo, lo + rows)
             values[:, positions[batch] - 1] = bound_values(
-                levels[batch], ends[batch], k, limit, window)
+                levels[batch], ends[batch], k, limit, tables)
     return Sweep(*values)
 
 
@@ -136,7 +133,8 @@ def sbp_optimize(n: int, k: int, cm: CostModel, limit: float,
 
     Runs k-1 placement steps (the first bit is fixed at t = 1 by the all-ones
     start), each sweeping all n insertion positions: at most (k-1) n bound
-    evaluations total, batched per step, all reading one window table.
+    evaluations total, batched per step, all reading the window table of
+    `tables`.
     Each step's SbpStep record is the winner's entry of the sweep; only the
     winner is built as a profile.
     """
@@ -145,10 +143,9 @@ def sbp_optimize(n: int, k: int, cm: CostModel, limit: float,
     if n < 1:
         raise ValueError("n must be at least 1")
     profile = profile_from_s(n, 1, [1] * n)
-    window = window_table(tables)
     steps = []
     for step in range(1, k):
-        sweep = candidate_sweep(profile, cm, limit, tables, window)
+        sweep = candidate_sweep(profile, cm, limit, tables)
         # argmin takes the first minimum: ties go to the smallest j
         i = int(np.argmin(sweep.d_e_g))
         s = np.asarray(profile.s, dtype=np.int64)

@@ -12,8 +12,7 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
 from cort.bounds import (_agreement, _binom_pmfs, _curves, _triangle,
-                         _window_probabilities, bound_memory_bytes,
-                         window_table)
+                         _window_probabilities, bound_memory_bytes)
 from reference_bounds import (full_square_cle_curves, per_stage_cfe_curves,
                               term_loop_cle_m_exact)
 
@@ -68,13 +67,12 @@ class TestMomentTables:
 
 
 class TestWindowTable:
-    """window_table against the expressions of the per-stage row loop it
-    replaced, entry by entry and to the byte."""
+    """MomentTables' window table against the expressions of the per-stage
+    row loop it replaced, entry by entry and to the byte."""
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     def test_entries_equal_row_loop_expression(self, gamma):
         tables = MomentTables(128, 0.03, gamma)
-        window = window_table(tables)
         abar, a, grid = tables.prefix_abar.T, tables.prefix_a.T, tables.grid
         for j in range(129):
             # the row loop's (h, h') row: subtract, += Dp, *= grid
@@ -82,38 +80,28 @@ class TestWindowTable:
             row += a[-1] - a[:j + 1]
             row *= grid
             row[j] = 0.0
-            packed = window.limit[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
+            packed = tables.window[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
             assert packed.tobytes() == row.tobytes()
         free = (abar[-1] - abar) + (a[-1] - a)
-        assert window.free.tobytes() == free.tobytes()
-
-    def test_subset_equals_full_table_entries(self):
-        rng = np.random.default_rng(33)
-        tables = MomentTables(64, 0.05, 0.9992)
-        full = window_table(tables)
-        for _ in range(20):
-            times = np.sort(rng.choice(65, int(rng.integers(1, 66)),
-                                       replace=False))
-            sub = window_table(tables, times)
-            jj = np.repeat(times, np.arange(1, len(times) + 1))
-            ii = np.concatenate([times[:m + 1] for m in range(len(times))])
-            assert (sub.limit.tobytes()
-                    == full.limit[jj * (jj + 1) // 2 + ii].tobytes())
-            assert sub.free.tobytes() == full.free[times].tobytes()
+        assert tables.free.tobytes() == free.tobytes()
 
     @pytest.mark.parametrize("n, points", [(600, 10), (128, 200)])
     def test_build_peak_within_table_and_rows(self, n, points):
-        # the build holds the table and a few (n + 1, points) rows of prefix
-        # sums, never a second full-size array
-        tables = MomentTables(n, 0.05, 0.9992, chernoff_grid(points))
+        # beyond the arrays it keeps, the build holds the table and a few
+        # (n + 1, points) rows of prefix sums, never a second full-size array
+        grid = chernoff_grid(points)
         tracemalloc.start()
         try:
-            window = window_table(tables)
+            tables = MomentTables(n, 0.05, 0.9992, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        kept = sum(x.nbytes for x in (tables.log_moment_abar,
+                                      tables.log_moment_a, tables.prefix_abar,
+                                      tables.prefix_a, tables.theta))
         rows = 8 * (n + 1) * points
-        assert peak <= window.limit.nbytes + window.free.nbytes + 4 * rows
+        table = tables.window.nbytes + tables.free.nbytes
+        assert peak <= kept + table + 4 * rows
 
 
 class TestTauDistributions:
@@ -254,7 +242,7 @@ class TestTriangularCurves:
                                              int(rng.integers(1, 6)), n)
             limit = float(rng.choice([1, 16, 1e3, 1e9]))
             k = int(levels[0, -1])
-            cle, cfe = _curves(levels, ends, k, limit, window_table(tables))
+            cle, cfe = _curves(levels, ends, k, limit, tables)
             assert (cle.tobytes()
                     == full_square_cle_curves(levels, ends, limit,
                                               tables).tobytes())
@@ -269,8 +257,7 @@ class TestTriangularCurves:
         tables = MomentTables(1100, 0.03, 0.9992)
         levels, ends = random_stage_rows(rng, 1100, 30, 3, 999)
         levels[:, -6:] = [1000, 1010, 1040, 1060, 1080, 1100]
-        curves, free = _curves(levels, ends, 1100, 100,
-                               window_table(tables))
+        curves, free = _curves(levels, ends, 1100, 100, tables)
         assert np.isinf(curves).any()
         assert (curves.tobytes()
                 == full_square_cle_curves(levels, ends, 100, tables).tobytes())
@@ -369,21 +356,23 @@ class TestTotalBound:
         assert row[0:2] == [8, 6] and row[4] == 8.0
 
     def test_single_profile_peak_within_estimate(self):
-        # one profile of 300 stages: its window table over its own 301 ends
-        # and its 45150 limit terms are both inside the estimate
+        # one profile of 300 stages: the moment tables with their window
+        # table over all 1101 times, and the profile's 45150 limit terms,
+        # are both inside the estimate
         rng = np.random.default_rng(34)
         arrivals = np.r_[1, np.sort(rng.choice(np.arange(2, 1101), 299,
                                                replace=False))]
         prof = profile_from_arrivals(1100, arrivals)
         assert prof.num_stages == 300
-        cm, tabs = model(0.03, 0.9992, 1100), MomentTables(1100, 0.03, 0.9992)
+        cm = model(0.03, 0.9992, 1100)
         tracemalloc.start()
         try:
+            tabs = MomentTables(1100, 0.03, 0.9992)
             d_e_g(prof, cm, 1e9, tabs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_memory_bytes(1100, 300, len(tabs.grid), 301)
+        assert peak <= bound_memory_bytes(1100, 300, len(tabs.grid))
 
     def test_grid_refinement_never_increases(self):
         for p, gamma in [(0.03, 1.0), (0.02, 0.9992)]:

@@ -372,6 +372,23 @@ def test_sbp_grid_just_beyond_memory_rejected(tmp_path, capsys):
     assert f"--grid-points {points}" in capsys.readouterr().err
 
 
+def test_bound_n_just_beyond_memory_rejected(tmp_path, capsys, monkeypatch):
+    # the smallest n whose estimate for a pure profile on the default grid
+    # exceeds the ceiling: refused before the profile or its moment tables
+    # (with their O(n^2) window table) are built
+    n = next(n for n in range(1, 10 ** 6)
+             if bound_memory_bytes(n, 1, 10) > cli.MEMORY_CEILING)
+
+    def refuse(*args):
+        raise AssertionError("built before the memory check")
+
+    monkeypatch.setattr(cli, "MomentTables", refuse)
+    monkeypatch.setattr(cli, "pure_random_profile", refuse)
+    assert run(tmp_path, "bound", "--profile", "pure", "--n", str(n),
+               "--k", "1", "--p", "0.1") == 2
+    assert "GB" in capsys.readouterr().err
+
+
 class TestValidationLeavesNoPartialFiles:
     def test_failed_run_writes_nothing(self, tmp_path):
         out = tmp_path / "report.json"

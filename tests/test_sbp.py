@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,3 +354,28 @@ class TestPinnedOutputs:
             "out = [d_cle_m_exact(prof, cm, 4096),\n"
             "       rcu_exact_bsc(256, 128, 0.05)]\n")
         assert out == here
+
+
+class TestDesignPins:
+    """sbp_optimize(128, 64) at L = 1e9 for the four reference
+    configurations of perfbench's design-128x64 workload, checked against
+    the pins in perfbench/spec.json as the benchmark checks them."""
+
+    SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+
+    def test_traces_match_pins(self):
+        spec = json.loads(self.SPEC.read_text())
+        design = spec["workloads"]["design-128x64"]
+        n, k, limit = design["n"], design["k"], design["limit"]
+        assert len(design["configs"]) == 4
+        for config in design["configs"]:
+            pin = config["pin"]
+            cm, tables = setup(n, config["p"], gamma=config["gamma"])
+            trace = sbp_optimize(n, k, cm, limit, tables)
+            assert [st.position for st in trace.steps] == pin["positions"]
+            last = trace.steps[-1]
+            for key in ("d_e_g", "d_cle_g", "d_cfe_g"):
+                assert math.isclose(getattr(last, key), pin[key],
+                                    rel_tol=1e-9), (config, key)
+            final = d_e_g(trace.final_profile, cm, limit, tables)
+            assert last.d_e_g == final.d_e_g
