@@ -41,6 +41,9 @@ log2 tau comes from the levels, -s(b_h) on the diagonal and log2 Pr(last
 agreement at h') off it, so no term is lost where 2^-s(b_h) underflows.
 Every bound evaluation gathers its terms from the table of the
 `MomentTables` it is given, at its profiles' ends.
+A batch may pad an (h_f - 1)-stage profile with a column that repeats end
+n at one level more.  Its last-stage terms, summed last in (h, h') order,
+are set to 0.0, and x + 0.0 == x, so its sums keep their bits.
 
 Reported values are raw (unclipped) sums; presentation layers clip to 1
 (the `*_clipped` keys of `BoundReport.to_json_dict`).
@@ -48,6 +51,7 @@ Reported values are raw (unclipped) sums; presentation layers clip to 1
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,7 +138,8 @@ def _profile_elements(stages: int, points: int) -> int:
     at each grid point the h' <= h terms of the computation-limit part, the
     free part's per-stage row and both curves, and per term its
     window-table index, two index gathers and three arrays of log2
-    weights."""
+    weights.  A padded profile counts its padding, so an SBP sweep from h_f
+    stages has h_f + 1."""
     terms = stages * (stages + 1) // 2
     return points * (terms + stages + 2) + 6 * terms
 
@@ -142,7 +147,7 @@ def _profile_elements(stages: int, points: int) -> int:
 def batch_rows(stages: int, points: int) -> int:
     """How many profiles with `stages` stages one batched evaluation on a
     grid of `points` takes at a time: as many as fit _BATCH_ELEMENTS, and at
-    least one."""
+    least one.  `stages` is the padded width, h_f + 1 for an SBP sweep."""
     return max(1, _BATCH_ELEMENTS // _profile_elements(stages, points))
 
 
@@ -182,12 +187,15 @@ def _agreement(levels: np.ndarray):
     return through, through[:, :-1] - through[:, 1:]
 
 
+@functools.lru_cache(maxsize=4)
 def _pairs(h_f: int):
     """The stage pairs h and h' ((T,) int arrays) of the T = h_f (h_f + 1) / 2
     terms h' <= h of the computation-limit bound with h_f stages, row by
-    row."""
+    row; cached per stage count, so both are read-only."""
     hh = np.repeat(np.arange(h_f), np.arange(1, h_f + 1))
-    return hh, np.arange(len(hh)) - hh * (hh + 1) // 2
+    hp = np.arange(len(hh)) - hh * (hh + 1) // 2
+    hh.flags.writeable = hp.flags.writeable = False
+    return hh, hp
 
 
 def _triangle(through: np.ndarray, last: np.ndarray):
@@ -206,8 +214,9 @@ def _curves(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
             tables: MomentTables):
     """Computation-limit and computation-free bounds of each profile at
     every grid point, two (B, G) arrays, from the (B, h_f + 1) levels and
-    ends of B (n, k) profiles with h_f stages, gathered from the window
-    table of `tables` at their ends."""
+    ends of B (n, k) profiles with h_f stages, or padded to h_f (see the
+    module docstring), gathered from the window table of `tables` at their
+    ends."""
     h_f = levels.shape[1] - 1
     hh, hp = _pairs(h_f)
     _, last = _agreement(levels)
@@ -225,27 +234,32 @@ def _curves(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
     r = ends.T
     terms = np.take(tables.window, (r * (r + 1) // 2)[hh] + r[hp], axis=0)
     terms += (log_v[:, hh] + log_tau).T[..., None]
+    padded = r[-1] == r[-2]
     with np.errstate(over="ignore"):
         np.exp2(terms, out=terms)
         # numpy reduces this outer axis sequentially, so each (b, g) entry
         # is summed in the same order, (h, h') row by row, whatever the
         # batch.  The h' > h terms have tau = 0 and are not evaluated.
+        terms[-h_f:, padded] = 0.0
         cle = terms.sum(axis=0)
         del terms
         free = np.take(tables.free, r[:h_f], axis=0)
         free += (k + log_last.T)[..., None]
         free *= tables.grid
-        cfe = np.exp2(free, out=free).sum(axis=0)
+        np.exp2(free, out=free)
+        free[-1, padded] = 0.0
+        cfe = free.sum(axis=0)
     return cle, cfe
 
 
 def bound_values(levels: np.ndarray, ends: np.ndarray, k: int, limit: float,
                  tables: MomentTables):
     """(d_cle_g, varrho_star, d_cfe_g, rho_star) of each of B (n, k)
-    profiles that share their stage count, given as (B, h_f + 1) levels and
-    ends, from the window table of `tables`: four (B,) arrays.  Each bound is
-    minimized over the grid on its own, ties resolving to the smallest grid
-    value, and each row's values do not depend on the rest of the batch."""
+    profiles with h_f stages or padded to h_f, given as (B, h_f + 1) levels
+    and ends, from the window table of `tables`: four (B,) arrays.  Each
+    bound is minimized over the grid on its own, ties resolving to the
+    smallest grid value, and each row's values do not depend on the rest of
+    the batch."""
     values = []
     for curves in _curves(levels, ends, k, limit, tables):
         i = np.argmin(curves, axis=1)  # the first minimum

@@ -223,7 +223,7 @@ def cmd_sbp(args) -> int:
     _validate_channel(args)
     if args.n < 1 or args.k < 1:
         raise CliError(f"--n and --k must be at least 1, got {args.n}, {args.k}")
-    _validate_grid_points(args, args.n, min(args.n, args.k))
+    _validate_grid_points(args, args.n, min(args.n + 1, args.k))
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=args.n)
     tables = MomentTables(args.n, args.p, args.gamma,

@@ -8,8 +8,9 @@ candidate profile actually carries.  Ties go to the smallest j.
 A step evaluates its n candidates in numpy batches (`candidate_sweep`),
 bit for bit equal to evaluating each candidate profile alone.  The
 candidates' stage levels and ends are derived from the current profile's,
-the step's record is read from the sweep, and only the winner is built as
-a TreeProfile, for the next step.
+in position order and padded to h_f + 1 stages, the step's record is read
+from the sweep, and only the winner is built as a TreeProfile, for the
+next step.
 """
 
 from __future__ import annotations
@@ -75,30 +76,28 @@ class Sweep(NamedTuple):
 
 
 def candidate_stages(current: TreeProfile):
-    """The n candidates of a sweep from `current` in two groups of equal
-    stage count, each as (positions, levels, ends): the 1-based positions j
-    in increasing order and the (len(j), stages + 1) int64 stage levels and
-    ends (see TreeProfile) of the profiles s + (t >= j)."""
-    h_f = current.num_stages
-    levels = np.array(current.levels)
-    ends = np.array(current.ends)
-    branching = ends[:-1] + 1
-    # j = b_m keeps the stages and adds 1 to the levels from stage m on
-    m = np.arange(1, h_f + 1)[:, None]
-    same = (branching, levels + (np.arange(h_f + 1) >= m),
-            np.broadcast_to(ends, (h_f, h_f + 1)))
-    # any other j, inside stage m, becomes a branching time: level
-    # s(j) + 1 and end j - 1 enter after index m, and later levels gain 1
-    other = np.ones(current.n + 1, dtype=bool)
-    other[0] = False
-    other[branching] = False
-    j = np.flatnonzero(other)
-    m = np.searchsorted(branching, j, side="right")[:, None]
+    """The stage levels and ends (see TreeProfile) of the candidates
+    s + (t >= j) of a sweep from `current`: two (n, h_f + 2) int64 arrays
+    whose row j - 1 is candidate j's.  A candidate at a branching position
+    keeps h_f stages and is padded with a column whose end repeats n and
+    whose level is the last + 1, which `bound_values` evaluates as none."""
+    h_f, n = current.num_stages, current.n
+    # the current stages with the padding column appended
+    levels = np.append(current.levels, current.k + 1)
+    ends = np.append(current.ends, n)
+    j = np.arange(1, n + 1)[:, None]
     i = np.arange(h_f + 2)
+    # j inside stage m becomes a branching time: level s(j) + 1 and end
+    # j - 1 enter after index m, and later levels gain 1
+    m = np.searchsorted(ends[:h_f] + 1, j, side="right")
     after = i > m
-    more = (j, levels[i - after] + after,
-            np.where(i == m, j[:, None] - 1, ends[i - after]))
-    return same, more
+    stage_levels = levels[i - after] + after
+    stage_ends = np.where(i == m, j - 1, ends[i - after])
+    # j = b_m, in row b_m - 1, keeps the stages and adds 1 to the levels
+    # from stage m on, the padding column's included
+    stage_levels[ends[:h_f]] = levels + (i >= np.arange(1, h_f + 1)[:, None])
+    stage_ends[ends[:h_f]] = ends
+    return stage_levels, stage_ends
 
 
 def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
@@ -109,22 +108,18 @@ def candidate_sweep(current: TreeProfile, cm: CostModel, limit: float,
     distinct: at t = j candidate j has s(j) + 1 and every later one s(j).
     Each is an (n, k+1) profile, evaluated with its own bit count everywhere
     the bound formulas involve k, and its bounds equal those of
-    `d_e_g(profile_from_s(n, k + 1, s + (t >= j)))`.  A candidate keeps the
-    stage count h_f when j is a branching time and has h_f + 1 otherwise;
-    each group is evaluated in batches of `batch_rows` candidates, from
-    the window table of `tables`.
+    `d_e_g(profile_from_s(n, k + 1, s + (t >= j)))`.  All n candidates,
+    padded to h_f + 1 stages (`candidate_stages`), are evaluated in
+    batches of `batch_rows` candidates, from the window table of `tables`.
     """
     n, k = current.n, current.k + 1
     _check_limit(limit)
     _require_match(tables, n, cm)
-    values = np.empty((4, n))
-    for positions, levels, ends in candidate_stages(current):
-        rows = batch_rows(levels.shape[1] - 1, len(tables.grid))
-        for lo in range(0, len(positions), rows):
-            batch = slice(lo, lo + rows)
-            values[:, positions[batch] - 1] = bound_values(
-                levels[batch], ends[batch], k, limit, tables)
-    return Sweep(*values)
+    levels, ends = candidate_stages(current)
+    rows = batch_rows(levels.shape[1] - 1, len(tables.grid))
+    return Sweep(*np.concatenate(
+        [bound_values(levels[lo:lo + rows], ends[lo:lo + rows], k, limit,
+                      tables) for lo in range(0, n, rows)], axis=1))
 
 
 def sbp_optimize(n: int, k: int, cm: CostModel, limit: float,

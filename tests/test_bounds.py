@@ -11,7 +11,7 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
-from cort.bounds import (_agreement, _binom_pmfs, _curves, _triangle,
+from cort.bounds import (_agreement, _binom_pmfs, _curves, _pairs, _triangle,
                          _window_probabilities, bound_memory_bytes)
 from reference_bounds import (full_square_cle_curves, per_stage_cfe_curves,
                               term_loop_cle_m_exact)
@@ -130,6 +130,19 @@ class TestTauDistributions:
         # the root term carries unit mass
         tri = _triangle(*_agreement(np.array([prof.levels])))[2]
         assert tri.tolist() == [[1.0]]
+
+    def test_cached_pairs_are_read_only(self):
+        # _pairs hands the same arrays to every caller with that stage
+        # count, so none can write into them
+        hh, hp = _pairs(6)
+        assert _pairs(6)[0] is hh
+        for pairs in (hh, hp):
+            with pytest.raises(ValueError):
+                pairs[0] = 1
+        assert np.array_equal(hh, [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4,
+                                   4, 5, 5, 5, 5, 5, 5])
+        assert np.array_equal(hp, [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3,
+                                   4, 0, 1, 2, 3, 4, 5])
 
     def test_random_profiles_sum_to_one(self):
         rng = np.random.default_rng(3)

@@ -62,11 +62,15 @@ def suffix_increment(s, j):
 
 
 def scalar_sweep(current, cm, limit, tables):
-    """Each candidate built as a profile and evaluated alone."""
-    return [d_e_g(profile_from_s(current.n, current.k + 1,
-                                 suffix_increment(current.s, j)),
-                  cm, limit, tables).d_e_g
-            for j in range(1, current.n + 1)]
+    """Each candidate built as a profile and evaluated alone, as its
+    report's (d_cle_g, varrho_star, d_cfe_g, rho_star): a (4, n) array laid
+    out as a Sweep."""
+    reports = [d_e_g(profile_from_s(current.n, current.k + 1,
+                                    suffix_increment(current.s, j)),
+                     cm, limit, tables)
+               for j in range(1, current.n + 1)]
+    return np.array([[r.d_cle_g, r.varrho_star, r.d_cfe_g, r.rho_star]
+                     for r in reports]).T
 
 
 class TestCandidateSweep:
@@ -94,12 +98,13 @@ class TestCandidateSweep:
         # each value is that of the (4, 3) profile, not of a (4, 2) one
         cm, tables = setup(4, 0.05)
         current = profile_from_s(4, 2, [1, 1, 2, 2])
-        sweep = candidate_sweep(current, cm, 64, tables).d_e_g
-        assert sweep.tolist() == scalar_sweep(current, cm, 64, tables)
+        sweep = candidate_sweep(current, cm, 64, tables)
+        assert (np.array(sweep).tobytes()
+                == scalar_sweep(current, cm, 64, tables).tobytes())
 
     def test_equals_scalar_evaluation(self):
         # random profiles (n <= 40), both gammas, grids of 2, 10 and 100
-        # points: each swept value is the candidate's own d_e_g, bit for bit
+        # points: each swept field is the candidate's report's, bit for bit
         rng = np.random.default_rng(20)
         for i in range(300):
             n = int(rng.integers(1, 41))
@@ -111,8 +116,46 @@ class TestCandidateSweep:
             cm, tables = setup(n, p, gamma=(1.0, 0.9992)[i % 2],
                                grid_points=(2, 10, 100)[i % 3])
             limit = float(rng.choice([16, 1e3, 1e6, 1e9]))
-            sweep = candidate_sweep(current, cm, limit, tables).d_e_g
-            assert sweep.tolist() == scalar_sweep(current, cm, limit, tables)
+            sweep = candidate_sweep(current, cm, limit, tables)
+            assert (np.array(sweep).tobytes()
+                    == scalar_sweep(current, cm, limit, tables).tobytes())
+
+    @pytest.mark.parametrize("arrivals, limit", [
+        # (1100, 1090), 21 stages at levels 1070 to 1090: from 1075 on
+        # 2^-level is 0, and at L = 16 every 2^level / L overflows
+        ([1] * 1070 + list(range(50, 1050, 50)), 16.0),
+        ([1] * 1070 + list(range(50, 1050, 50)), 1e300),
+        # (1100, 600), 100 stages
+        ([1] * 501 + list(range(11, 1100, 11)), 1e9),
+    ])
+    def test_padded_sweep_at_float_extremes(self, arrivals, limit):
+        # no RuntimeWarning (pytest makes them errors), and every field of
+        # every candidate, inf included, is its own report's bit for bit
+        cm, tables = setup(1100, 0.03)
+        current = profile_from_arrivals(1100, arrivals)
+        sweep = candidate_sweep(current, cm, limit, tables)
+        if limit == 16.0:
+            assert np.isinf(sweep.d_cle_g).all()
+        else:
+            assert np.isfinite(sweep.d_e_g).all()
+        assert (np.array(sweep).tobytes()
+                == scalar_sweep(current, cm, limit, tables).tobytes())
+
+    def test_sweep_cut_into_many_batches(self):
+        # on a 1000-point grid `batch_rows` takes 5 of the 40 candidates at
+        # a time, so padded rows (at the branching positions) and full rows
+        # share sub-batches and straddle their cuts
+        cm, tables = setup(40, 0.05, gamma=0.9992, grid_points=1000)
+        current = profile_from_arrivals(40, [1, 1, 3, 7, 12, 18, 25, 33])
+        levels, ends = candidate_stages(current)
+        rows = batch_rows(levels.shape[1] - 1, 1000)
+        assert rows == 5
+        padded = np.flatnonzero(ends[:, -1] == ends[:, -2])
+        assert len(padded) == current.num_stages == 7
+        assert len(set((padded // rows).tolist())) == 6
+        sweep = candidate_sweep(current, cm, 1e6, tables)
+        assert (np.array(sweep).tobytes()
+                == scalar_sweep(current, cm, 1e6, tables).tobytes())
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     def test_standalone_equals_step_inside_optimize(self, gamma, monkeypatch):
@@ -152,18 +195,27 @@ class TestCandidateSweep:
 
 def check_candidate_stages(current):
     """candidate_stages of `current` against the levels and ends of each
-    explicit candidate profile s + (t >= j), each position once."""
-    seen = []
-    for positions, levels, ends in candidate_stages(current):
-        assert len(levels) == len(ends) == len(positions)
-        for j, row_levels, row_ends in zip(positions.tolist(), levels.tolist(),
-                                           ends.tolist()):
-            want = profile_from_s(current.n, current.k + 1,
-                                  suffix_increment(current.s, j))
-            assert (row_levels, row_ends) == (list(want.levels),
-                                              list(want.ends))
-        seen.extend(positions.tolist())
-    assert sorted(seen) == list(range(1, current.n + 1))
+    explicit candidate profile s + (t >= j), in position order: a
+    candidate at a branching position has h_f stages and one padding
+    column, which repeats end n at one level more; every other has
+    h_f + 1 stages."""
+    h_f, n = current.num_stages, current.n
+    levels, ends = candidate_stages(current)
+    assert levels.shape == ends.shape == (n, h_f + 2)
+    padded = []
+    for j, row_levels, row_ends in zip(range(1, n + 1), levels.tolist(),
+                                       ends.tolist()):
+        want = profile_from_s(n, current.k + 1,
+                              suffix_increment(current.s, j))
+        stages = want.num_stages
+        assert stages in (h_f, h_f + 1)
+        assert (row_levels[:stages + 1], row_ends[:stages + 1]) == (
+            list(want.levels), list(want.ends))
+        if stages == h_f:
+            assert (row_levels[-1], row_ends[-1]) == (want.k + 1, n)
+            padded.append(j)
+    branching = [e + 1 for e in current.ends[:-1]]
+    assert padded == branching
 
 
 class TestCandidateStages:
