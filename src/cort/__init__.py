@@ -4,8 +4,8 @@ optimization, a give-up stack decoder, and Monte Carlo validation."""
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundReport, MomentTables, chernoff_grid, d_cle_m_exact,
-                     d_e_g, gallager_reference_bsc, rcu_exact_bsc)
+from .bounds import (BoundReport, MomentTables, d_cle_m_exact, d_e_g,
+                     gallager_reference_bsc, rcu_exact_bsc)
 from .channel import BscChannel, transmit
 from .decoder import DecodeOutcome, ssdgu_decode
 from .measure import CostModel, check_aec, prefix_cost
@@ -21,7 +21,7 @@ __all__ = [
     "BoundReport", "BscChannel", "CostModel", "DecodeOutcome",
     "GeneratorMatrix", "MomentTables", "ProfileError", "SbpStep", "SbpTrace",
     "SimStats", "TreeProfile", "TrialConfig", "candidate_sweep",
-    "check_aec", "chernoff_grid", "d_cle_m_exact",
+    "check_aec", "d_cle_m_exact",
     "d_e_g", "encode", "gallager_reference_bsc", "load_profile",
     "ml_consistency_check", "ml_oracle", "prefix_cost",
     "profile_from_arrivals", "profile_from_json_dict", "profile_from_s",

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +66,17 @@ RCU_MAX_N = 512  # largest n of rcu_exact_bsc and of `cort bound`'s rcu line
 
 
 def chernoff_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Uniform grid on [0, 1] with both endpoints included."""
-    if points < 2:
+    """Uniform grid of `points` values on [0, 1], both endpoints included;
+    `points` must be an integer (a float or an array is a TypeError)."""
+    if operator.index(points) < 2:
         raise ValueError("need at least two grid points")
     return np.linspace(0.0, 1.0, points)
 
 
 class MomentTables:
     """Per-symbol log2 moments of the discounted cost, with prefix sums and
-    the window table built from them.
+    the window table built from them, on the Chernoff grid of `points`
+    uniform values on [0, 1], both endpoints included (`chernoff_grid`).
 
     For each grid value (through vartheta = 1/(1+grid)) and each time t:
       log_moment_abar[g, t-1] = log2 E[2^(-vartheta d_t)]   (competitor symbol)
@@ -84,12 +87,9 @@ class MomentTables:
     the grid, for all times 0 <= i <= j <= n (see the module docstring).
     """
 
-    def __init__(self, n: int, p: float, gamma: float, grid=None):
-        if grid is None:
-            grid = chernoff_grid()
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or np.any(grid < 0) or np.any(grid > 1):
-            raise ValueError("grid values must lie in [0, 1]")
+    def __init__(self, n: int, p: float, gamma: float,
+                 points: int = DEFAULT_GRID_POINTS):
+        grid = chernoff_grid(points)
         self.n = int(n)
         self.p = float(p)
         self.gamma = float(gamma)
@@ -300,15 +300,6 @@ class BoundReport:
             "rho_star": self.rho_star,
             "profile": self.profile.to_json_dict(),
         }
-
-    def csv_row(self) -> list:
-        return [self.profile.n, self.profile.k, self.p, self.gamma, self.limit,
-                self.d_cle_g, self.d_cfe_g, self.d_e_g,
-                self.varrho_star, self.rho_star]
-
-
-CSV_HEADER = ["n", "k", "p", "gamma", "L", "d_cle_g", "d_cfe_g", "d_e_g",
-              "varrho", "rho"]
 
 
 def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,

@@ -18,9 +18,9 @@ import sys
 import time
 
 from . import __version__
-from .bounds import (CSV_HEADER, DEFAULT_GRID_POINTS, RCU_MAX_N, MomentTables,
-                     bound_memory_bytes, chernoff_grid, d_e_g,
-                     gallager_reference_bsc, rcu_exact_bsc)
+from .bounds import (DEFAULT_GRID_POINTS, RCU_MAX_N, MomentTables,
+                     bound_memory_bytes, d_e_g, gallager_reference_bsc,
+                     rcu_exact_bsc)
 from .channel import BscChannel
 from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
 from .measure import CostModel
@@ -196,13 +196,11 @@ def cmd_bound(args) -> int:
     _validate_grid_points(args, prof.n, prof.num_stages)
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
-    tables = MomentTables(prof.n, args.p, args.gamma,
-                          chernoff_grid(args.grid_points))
+    tables = MomentTables(prof.n, args.p, args.gamma, args.grid_points)
     report = d_e_g(prof, cm, args.limit, tables)
     rcu = (rcu_exact_bsc(prof.n, prof.k, args.p) if prof.n <= RCU_MAX_N
            else None)
-    gallager = gallager_reference_bsc(prof.n, prof.k, args.p,
-                                      chernoff_grid(args.grid_points))
+    gallager = gallager_reference_bsc(prof.n, prof.k, args.p, tables.grid)
     payload = report.to_json_dict()
     payload["rcu_exact"] = rcu
     payload["gallager_reference"] = gallager
@@ -226,8 +224,7 @@ def cmd_sbp(args) -> int:
     _validate_grid_points(args, args.n, min(args.n + 1, args.k))
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=args.n)
-    tables = MomentTables(args.n, args.p, args.gamma,
-                          chernoff_grid(args.grid_points))
+    tables = MomentTables(args.n, args.p, args.gamma, args.grid_points)
     trace = sbp_optimize(args.n, args.k, cm, args.limit, tables)
     payload = trace.to_json_dict()
     _require_finite(payload["steps"], args.n, args.k, args.limit)
@@ -316,29 +313,32 @@ def cmd_simulate(args) -> int:
 
 
 def table_rows(table: int, grid_points: int = DEFAULT_GRID_POINTS):
-    """Reproduce one reference table: per-column profile optimization and
-    bound evaluation, with the printed values and their additive check."""
+    """Reproduce one reference table: per-column profile optimization, with
+    the bounds of its last step (those of its final profile), the printed
+    values and their additive check."""
     ref = REFERENCE_TABLES[table]
     p, gamma = ref["p"], ref["gamma"]
     cm = CostModel(channel=BscChannel(p), gamma=gamma, n=REFERENCE_N)
-    tables = MomentTables(REFERENCE_N, p, gamma, chernoff_grid(grid_points))
+    tables = MomentTables(REFERENCE_N, p, gamma, grid_points)
     rows = []
     for i, limit in enumerate(REFERENCE_LIMITS):
-        trace = sbp_optimize(REFERENCE_N, REFERENCE_K, cm, limit, tables)
-        report = d_e_g(trace.final_profile, cm, limit, tables)
+        last = sbp_optimize(REFERENCE_N, REFERENCE_K, cm, limit,
+                            tables).steps[-1]
         printed_sum = ref["d_cle_g"][i] + ref["d_cfe_g"][i]
         printed_ok = abs(printed_sum - ref["d_e_g"][i]) <= 0.1 * ref["d_e_g"][i]
-        rows.append(report.csv_row()
-                    + [ref["d_cle_g"][i], ref["d_cfe_g"][i], ref["d_e_g"][i],
-                       printed_ok])
+        rows.append([REFERENCE_N, REFERENCE_K, p, gamma, float(limit),
+                     last.d_cle_g, last.d_cfe_g, last.d_e_g, last.varrho_star,
+                     last.rho_star, ref["d_cle_g"][i], ref["d_cfe_g"][i],
+                     ref["d_e_g"][i], printed_ok])
     return rows
 
 
 def cmd_tables(args) -> int:
     _validate_grid_points(args, REFERENCE_N, REFERENCE_K)
     tables_to_run = [args.paper_table] if args.paper_table else [1, 2, 3, 4]
-    header = CSV_HEADER + ["printed_d_cle_g", "printed_d_cfe_g",
-                           "printed_d_e_g", "printed_additive_consistent"]
+    header = ["n", "k", "p", "gamma", "L", "d_cle_g", "d_cfe_g", "d_e_g",
+              "varrho", "rho", "printed_d_cle_g", "printed_d_cfe_g",
+              "printed_d_e_g", "printed_additive_consistent"]
     all_rows = []
     for tab in tables_to_run:
         print(f"table {tab}:")

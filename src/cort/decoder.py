@@ -331,6 +331,8 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     y = np.asarray(y, dtype=np.uint8)
     if len(y) != prof.n:
         raise ValueError(f"received word has length {len(y)}, expected {prof.n}")
+    if cm.n != prof.n:
+        raise ValueError(f"cost model built for n={cm.n}, code has n={prof.n}")
     c0 = prof.branch_fanout[0]
     if limit < c0:
         raise ValueError(

@@ -187,6 +187,9 @@ def ml_oracle(g: GeneratorMatrix, y, cm: CostModel):
     k = g.profile.k
     if k > 20:
         raise ValueError(f"brute force limited to k <= 20, got k={k}")
+    if cm.n != g.profile.n:
+        raise ValueError(
+            f"cost model built for n={cm.n}, code has n={g.profile.n}")
     y = np.asarray(y, dtype=np.uint8)
     weights = np.asarray(cm.per_symbol_cost, dtype=float)
     best_cost = math.inf

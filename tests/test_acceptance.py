@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cort import (BscChannel, CostModel, MomentTables, TrialConfig,
-                  chernoff_grid, d_cle_m_exact, d_e_g, gallager_reference_bsc, ml_consistency_check,
+                  d_cle_m_exact, d_e_g, gallager_reference_bsc, ml_consistency_check,
                   profile_from_arrivals, profile_from_s, pure_random_profile,
                   rcu_exact_bsc, sbp_optimize, simulate, ssdgu_decode)
 from cort.cli import REFERENCE_LIMITS, REFERENCE_TABLES, table_rows
@@ -248,11 +248,9 @@ def test_criterion_10_bound_monotonicity():
     for p, gamma in [(0.03, 1.0), (0.02, 0.9992)]:
         cmx = model(p, gamma, 128)
         v10 = d_e_g(sbp_prof if gamma != 1.0 else pure_random_profile(128, 64),
-                    cmx, 1e9, MomentTables(128, p, gamma,
-                                           chernoff_grid(10))).d_e_g
+                    cmx, 1e9, MomentTables(128, p, gamma, 10)).d_e_g
         v100 = d_e_g(sbp_prof if gamma != 1.0 else pure_random_profile(128, 64),
-                     cmx, 1e9, MomentTables(128, p, gamma,
-                                            chernoff_grid(100))).d_e_g
+                     cmx, 1e9, MomentTables(128, p, gamma, 100)).d_e_g
         grid_ok &= v100 <= v10 + 1e-18
     ok = cle_ok and gamma_ok and grid_ok
     detail = f"cle-L={cle_ok}, cfe-gamma={gamma_ok}, grid={grid_ok}"

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from cort import (BoundReport, BscChannel, CostModel, MomentTables,
-                  TrialConfig, chernoff_grid, d_cle_m_exact, d_e_g,
+                  TrialConfig, d_cle_m_exact, d_e_g,
                   gallager_reference_bsc, profile_from_arrivals,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
@@ -59,6 +59,12 @@ class TestMomentTables:
         assert math.isclose(tabs.theta[-1], 0.5, rel_tol=1e-15)
         assert math.isclose(tabs.theta[0], 1.0, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("points", [np.linspace(0.0, 1.0, 5), 5.0],
+                             ids=["array", "float"])
+    def test_grid_other_than_a_point_count_rejected(self, points):
+        with pytest.raises(TypeError):
+            MomentTables(8, 0.1, 1.0, points)
+
     def test_configuration_mismatch_rejected(self):
         tabs = MomentTables(8, 0.1, 1.0)
         prof = pure_random_profile(8, 3)
@@ -89,10 +95,9 @@ class TestWindowTable:
     def test_build_peak_within_table_and_rows(self, n, points):
         # beyond the arrays it keeps, the build holds the table and a few
         # (n + 1, points) rows of prefix sums, never a second full-size array
-        grid = chernoff_grid(points)
         tracemalloc.start()
         try:
-            tables = MomentTables(n, 0.05, 0.9992, grid)
+            tables = MomentTables(n, 0.05, 0.9992, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,7 +255,7 @@ class TestTriangularCurves:
             stages = int(rng.integers(1, n + 1))
             p = float(rng.choice([0.01, 0.05, 0.2]))
             gamma = (1.0, 0.9992)[i % 2]
-            tables = MomentTables(n, p, gamma, chernoff_grid((2, 10, 100)[i % 3]))
+            tables = MomentTables(n, p, gamma, (2, 10, 100)[i % 3])
             levels, ends = random_stage_rows(rng, n, stages,
                                              int(rng.integers(1, 6)), n)
             limit = float(rng.choice([1, 16, 1e3, 1e9]))
@@ -365,8 +370,6 @@ class TestTotalBound:
             assert doc[f"{name}_clipped"] == min(doc[name], 1.0)
         assert doc["d_cle_g_clipped"] == 1.0
         assert doc["profile"]["s"] == list(prof.s)
-        row = report.csv_row()
-        assert row[0:2] == [8, 6] and row[4] == 8.0
 
     def test_single_profile_peak_within_estimate(self):
         # one profile of 300 stages: the moment tables with their window
@@ -391,10 +394,8 @@ class TestTotalBound:
         for p, gamma in [(0.03, 1.0), (0.02, 0.9992)]:
             cm = model(p, gamma, 32)
             prof = profile_from_arrivals(32, [1, 2, 3, 5, 9, 13, 17, 25])
-            v10 = d_e_g(prof, cm, 1e6, MomentTables(32, p, gamma,
-                                                    chernoff_grid(10))).d_e_g
-            v100 = d_e_g(prof, cm, 1e6, MomentTables(32, p, gamma,
-                                                     chernoff_grid(100))).d_e_g
+            v10 = d_e_g(prof, cm, 1e6, MomentTables(32, p, gamma, 10)).d_e_g
+            v100 = d_e_g(prof, cm, 1e6, MomentTables(32, p, gamma, 100)).d_e_g
             assert v100 <= v10 + 1e-18
 
 

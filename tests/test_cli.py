@@ -343,6 +343,24 @@ class TestTablesCommand:
         for row in rows[1:]:
             assert float(row[7]) == float(row[5]) + float(row[6])
 
+    def test_table_1_pinned(self, tmp_path):
+        # (n, k, p, gamma, L, d_cle_g, d_cfe_g, d_e_g, varrho, rho) of each
+        # column, as the run record keeps them: n and k ints, L a float
+        assert run(tmp_path, "tables", "--paper-table", "1") == 0
+        [record] = (tmp_path / "results" / "tables").iterdir()
+        rows = json.loads((record / "record.json").read_text())[
+            "payload"]["rows"]
+        assert [row[:10] for row in rows] == [
+            [128, 64, 0.03, 1.0, 1e9, 0.03179442176394395,
+             0.03185741923413014, 0.06365184099807408, 1.0, 1.0],
+            [128, 64, 0.03, 1.0, 1e10, 0.007447531509506287,
+             0.008069122637686737, 0.015516654147193023, 1.0, 1.0],
+            [128, 64, 0.03, 1.0, 1e11, 0.0015480002692620448,
+             0.003245032459656337, 0.004793032728918381, 1.0, 1.0]]
+        assert [type(x) for x in rows[0][:5]] == [int, int, float, float,
+                                                  float]
+        assert rows[0][4] == 1000000000.0
+
 
 GRID_COMMANDS = pytest.mark.parametrize("argv", [
     ["bound", "--profile", "pure", "--n", "8", "--k", "4", "--p", "0.05"],

@@ -83,6 +83,16 @@ class TestHandTrace:
         with pytest.raises(ValueError, match="length"):
             ssdgu_decode(g, np.zeros(3, dtype=np.uint8), model(n=4), limit=8)
 
+    @pytest.mark.parametrize("cost_n", [8, 12, 20])
+    def test_cost_model_of_other_length_rejected(self, cost_n):
+        # the (16, 8) profile of the README: a shorter model used to fail
+        # with an IndexError inside the decoder, a longer one to decode
+        prof = profile_from_arrivals(16, [1, 3, 5, 7, 9, 11, 13, 15])
+        g = sample_generator(prof, 0)
+        with pytest.raises(ValueError, match=f"n={cost_n}, code has n=16"):
+            ssdgu_decode(g, np.zeros(16, dtype=np.uint8),
+                         model(n=cost_n), limit=4096)
+
 
 class TestOutcomeInvariants:
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])

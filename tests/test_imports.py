@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import cort
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = r"""
@@ -58,3 +60,18 @@ def test_commands_load_neither_scipy_nor_the_pool(tmp_path):
     # The values tests/test_sbp.py and tests/test_bounds.py pin.
     assert doc["exact"] == 0.017599311673679792
     assert abs(doc["rcu"] - 0.3475) < 1e-12
+
+
+def test_public_api():
+    # A new export must name its caller (the CLI, the paper or perfbench) in
+    # CHANGES.md; a name only a test uses stays in its module.
+    assert set(cort.__all__) == {
+        "BoundReport", "BscChannel", "CostModel", "DecodeOutcome",
+        "GeneratorMatrix", "MomentTables", "ProfileError", "SbpStep",
+        "SbpTrace", "SimStats", "TreeProfile", "TrialConfig",
+        "candidate_sweep", "check_aec", "d_cle_m_exact", "d_e_g", "encode",
+        "gallager_reference_bsc", "load_profile", "ml_consistency_check",
+        "ml_oracle", "prefix_cost", "profile_from_arrivals",
+        "profile_from_json_dict", "profile_from_s", "pure_random_profile",
+        "rcu_exact_bsc", "sample_generator", "sbp_optimize", "simulate",
+        "ssdgu_decode", "transmit"}

@@ -108,6 +108,13 @@ class TestMlOracle:
         with pytest.raises(ValueError):
             ml_oracle(g, np.zeros(22, np.uint8), model(0.1, 1.0, 22))
 
+    @pytest.mark.parametrize("cost_n", [8, 12, 20])
+    def test_cost_model_of_other_length_rejected(self, cost_n):
+        prof = profile_from_arrivals(16, [1, 3, 5, 7, 9, 11, 13, 15])
+        g = sample_generator(prof, 0)
+        with pytest.raises(ValueError, match=f"n={cost_n}, code has n=16"):
+            ml_oracle(g, np.zeros(16, np.uint8), model(0.05, 1.0, cost_n))
+
 
 class TestEstimateCle:
     def test_huge_budget_never_gives_up(self):

@@ -20,9 +20,8 @@ from cort.sbp import candidate_stages
 
 
 def setup(n, p, gamma=1.0, grid_points=10):
-    from cort import chernoff_grid
     cm = CostModel(channel=BscChannel(p), gamma=gamma, n=n)
-    tables = MomentTables(n, p, gamma, chernoff_grid(grid_points))
+    tables = MomentTables(n, p, gamma, grid_points)
     return cm, tables
 
 
@@ -159,8 +158,8 @@ class TestCandidateSweep:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     def test_standalone_equals_step_inside_optimize(self, gamma, monkeypatch):
-        # sbp_optimize sweeps from one window table over its whole call; a
-        # standalone sweep builds its own and returns the same bytes
+        # the sweeps inside sbp_optimize and a standalone sweep all read
+        # the same tables.window, and return the same bytes
         cm, tables = setup(128, 0.03, gamma=gamma)
         seen = []
 
