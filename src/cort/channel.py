@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import CHANNEL_STREAM, stream
+from .streams import CHANNEL_STREAM, uniforms
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,5 @@ def transmit(ch: BscChannel, x, seed: int) -> np.ndarray:
     for the same integer seed.
     """
     x = np.asarray(x, dtype=np.uint8)
-    errors = (stream(seed, CHANNEL_STREAM).random(len(x)) < ch.p).astype(np.uint8)
-    return x ^ errors
+    return x ^ (uniforms(seed, CHANNEL_STREAM, len(x)) < ch.p)
 

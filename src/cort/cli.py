@@ -245,7 +245,7 @@ def _write_first_trial_trace(config: TrialConfig, path: str) -> None:
     (iteration, popped prefix, stage, cost, node checks)."""
     _, g, y = next(trial_instances(config, 0, 1))
     trace = []
-    ssdgu_decode(g, y, config.cost_model(), config.limit, trace=trace)
+    ssdgu_decode(g, y, config.cost_model, config.limit, trace=trace)
     with _writing(path) as fh:
         for record in trace:
             record = dict(record, prefix=list(record["prefix"]))

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import BscChannel, transmit
 from .decoder import DecodeOutcome, ssdgu_decode
 from .measure import CostModel, prefix_cost
-from .streams import MESSAGE_STREAM, stream
+from .streams import MESSAGE_STREAM, bits
 from .tree_code import GeneratorMatrix, TreeProfile, encode, sample_generator
 
 Z_95 = 1.959964  # two-sided 95% standard normal quantile
@@ -40,7 +41,10 @@ class TrialConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
+    @cached_property
     def cost_model(self) -> CostModel:
+        """The campaign's cost model, built on first use and shared by its
+        trial draws and decodes."""
         return CostModel(channel=BscChannel(self.p), gamma=self.gamma,
                          n=self.profile.n)
 
@@ -84,7 +88,7 @@ def wilson_halfwidth(successes: int, trials: int) -> float:
 
 def draw_message(k: int, seed: int) -> np.ndarray:
     """Uniform k-bit message from the trial's message stream."""
-    return stream(seed, MESSAGE_STREAM).integers(0, 2, k, dtype=np.uint8)
+    return bits(seed, MESSAGE_STREAM, k)
 
 
 def trial_instances(config: TrialConfig, start: int, stop: int):
@@ -93,7 +97,7 @@ def trial_instances(config: TrialConfig, start: int, stop: int):
     Trial i is seeded by base_seed + i.  With resample_code off, every trial
     uses the one generator drawn from base_seed.
     """
-    channel = BscChannel(config.p)
+    channel = config.cost_model.channel
     fixed_g = None
     if not config.resample_code:
         fixed_g = sample_generator(config.profile, config.base_seed)
@@ -116,7 +120,7 @@ def trial_spans(trials: int, workers: int) -> list:
 
 def _run_chunk(config: TrialConfig, start: int, stop: int):
     """Exact integer tallies for trials start..stop-1."""
-    cm = config.cost_model()
+    cm = config.cost_model
     giveups = wrong = 0
     nc_sum = 0
     nc_sq_sum = 0
@@ -126,7 +130,7 @@ def _run_chunk(config: TrialConfig, start: int, stop: int):
         outcome = ssdgu_decode(g, y, cm, config.limit)
         if outcome.gave_up:
             giveups += 1
-        elif outcome.result != tuple(int(b) for b in m):
+        elif outcome.result != tuple(m.tolist()):
             wrong += 1
         nc = outcome.nodes_checked
         nc_sum += nc
@@ -191,6 +195,9 @@ def ml_oracle(g: GeneratorMatrix, y, cm: CostModel):
         raise ValueError(
             f"cost model built for n={cm.n}, code has n={g.profile.n}")
     y = np.asarray(y, dtype=np.uint8)
+    if len(y) != g.profile.n:
+        raise ValueError(
+            f"received word has length {len(y)}, expected {g.profile.n}")
     weights = np.asarray(cm.per_symbol_cost, dtype=float)
     best_cost = math.inf
     best_index = -1

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .streams import GENERATOR_STREAM, stream
+from .streams import GENERATOR_STREAM, bits
 
 
 class ProfileError(ValueError):
@@ -49,6 +50,16 @@ class TreeProfile:
     def num_stages(self) -> int:
         """Number of branching stages h_f."""
         return len(self.levels) - 1
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Read-only (n, k) uint8 staircase mask of the generator: entry
+        (i, j) is 1 iff time i+1 is at or after bit j's arrival.  Built on
+        first use and kept; not a field, so not in eq, hash or JSON."""
+        rows = np.arange(1, self.n + 1)[:, None]
+        mask = (rows >= np.asarray(self.arrivals)[None, :]).view(np.uint8)
+        mask.setflags(write=False)
+        return mask
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,12 +170,10 @@ class GeneratorMatrix:
 
 def sample_generator(profile: TreeProfile, seed: int) -> GeneratorMatrix:
     """Draw one generator matrix from the ensemble, deterministically."""
-    bits = stream(seed, GENERATOR_STREAM).integers(
-        0, 2, size=(profile.n, profile.k), dtype=np.uint8)
-    rows = np.arange(1, profile.n + 1)[:, None]
-    bits *= (rows >= np.asarray(profile.arrivals)[None, :]).astype(np.uint8)
-    bits.setflags(write=False)
-    return GeneratorMatrix(profile=profile, bits=bits, seed=seed)
+    g = bits(seed, GENERATOR_STREAM, (profile.n, profile.k))
+    g &= profile.support
+    g.setflags(write=False)
+    return GeneratorMatrix(profile=profile, bits=g, seed=seed)
 
 
 def encode(g: GeneratorMatrix, message) -> np.ndarray:

@@ -135,7 +135,7 @@ def test_criterion_6_ml_consistency():
     for gamma in (1.0, 0.9992):
         cfg = TrialConfig(profile=prof, p=0.05, gamma=gamma, limit=1024,
                           trials=1000, base_seed=314, resample_code=True)
-        cm = cfg.cost_model()
+        cm = cfg.cost_model
         for _, g, y in trial_instances(cfg, 0, cfg.trials):
             outcome = ssdgu_decode(g, y, cm, cfg.limit)
             if not outcome.gave_up:

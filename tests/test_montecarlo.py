@@ -115,6 +115,13 @@ class TestMlOracle:
         with pytest.raises(ValueError, match=f"n={cost_n}, code has n=16"):
             ml_oracle(g, np.zeros(16, np.uint8), model(0.05, 1.0, cost_n))
 
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_received_word_of_other_length_rejected(self, length):
+        prof = profile_from_arrivals(16, [1, 3, 5, 7, 9, 11, 13, 15])
+        g = sample_generator(prof, 7)
+        with pytest.raises(ValueError, match=f"length {length}, expected 16"):
+            ml_oracle(g, np.zeros(length, np.uint8), model(0.05, 1.0, 16))
+
 
 class TestEstimateCle:
     def test_huge_budget_never_gives_up(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cort import (ProfileError, encode, profile_from_arrivals,
                   profile_from_json_dict, profile_from_s, sample_generator)
+from cort.streams import GENERATOR_STREAM, stream
 from cort.tree_code import load_profile
 
 
@@ -157,6 +158,60 @@ class TestGeneratorSampling:
         free = (np.arange(1, 5)[:, None] >= np.asarray(prof.arrivals)[None, :])
         means = total[free] / samples
         assert np.all(means >= 0.48) and np.all(means <= 0.52)
+
+
+def random_profiles(count, seed):
+    """Seeded random profiles: n up to 128, sorted arrivals with a_1 = 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 129))
+        k = int(rng.integers(1, min(n, 64) + 1))
+        rest = np.sort(rng.integers(1, n + 1, k - 1))
+        yield profile_from_arrivals(n, [1, *rest.tolist()])
+
+
+def reference_generator_bits(prof, seed):
+    """The generator draw as two steps on a Generator: fair bits, then the
+    staircase zeroed by a mask built from the arrivals."""
+    bits = stream(seed, GENERATOR_STREAM).integers(
+        0, 2, size=(prof.n, prof.k), dtype=np.uint8)
+    rows = np.arange(1, prof.n + 1)[:, None]
+    bits *= (rows >= np.asarray(prof.arrivals)[None, :]).astype(np.uint8)
+    return bits
+
+
+class TestSupport:
+    def test_equals_arrival_mask(self):
+        for prof in random_profiles(60, 11):
+            rows = np.arange(1, prof.n + 1)[:, None]
+            mask = rows >= np.asarray(prof.arrivals)[None, :]
+            assert prof.support.dtype == np.uint8
+            assert np.array_equal(prof.support, mask.astype(np.uint8))
+
+    def test_read_only(self):
+        prof = profile_from_arrivals(4, [1, 3])
+        with pytest.raises(ValueError):
+            prof.support[0, 1] = 1
+        assert prof.support is prof.support
+
+    def test_not_in_json_eq_or_hash(self):
+        built = profile_from_arrivals(6, [1, 2, 5])
+        fresh = profile_from_arrivals(6, [1, 2, 5])
+        built.support
+        assert "support" in vars(built) and "support" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert built.to_json_dict() == fresh.to_json_dict() == {
+            "n": 6, "k": 3, "s": [1, 2, 2, 2, 3, 3], "arrivals": [1, 2, 5]}
+
+    def test_sample_generator_equals_two_step_reference(self):
+        profiles = [*random_profiles(40, 12),
+                    profile_from_arrivals(128, np.repeat(np.arange(1, 128, 4),
+                                                         2).tolist())]
+        for i, prof in enumerate(profiles):
+            for seed in (i, -i - 1, 2 ** 64 + i):
+                got = sample_generator(prof, seed).bits
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, reference_generator_bits(prof, seed))
 
 
 class TestEncoding:
