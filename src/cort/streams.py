@@ -1,14 +1,14 @@
-"""Seeded random streams: one counter-based Philox generator per (seed, domain).
+"""Seeded random streams: counter-based Philox words per (seed, domain).
 
-Every random draw in cort comes from a stream keyed by [seed mod 2^64,
-domain], with its counter starting at 0.  Distinct domains let one integer
-seed drive independent streams for the message, the generator matrix, the
-channel noise and the accumulation check, and (seed, domain) reproduces a
-stream bit-exactly on any platform.
+Every random draw in cort comes from the Philox stream keyed by [seed mod
+2^64, domain], with its counter starting at 0.  Distinct domains let one
+integer seed drive independent streams for the message, the generator
+matrix, the channel noise and the accumulation check, and (seed, domain)
+reproduces a stream bit-exactly on any platform.
 
-A trial makes one draw from each of its streams, so `bits` and `uniforms`
-take it straight from the stream's raw 64-bit words (`words`), with no
-`Generator` per draw, and return exactly what a fresh `stream` would:
+`words` returns a stream's first raw 64-bit words; `bits` and `uniforms`
+convert them, and equal what a `np.random.Generator` on a Philox with that
+key returns from its first draw:
 
 - `Generator.integers(0, 2, size, dtype=np.uint8)` is numpy's buffered
   Lemire draw.  Each byte u of the raw words gives the value (2 u) >> 8,
@@ -37,42 +37,11 @@ _ZERO4 = (0, 0, 0, 0)
 
 
 @cache
-def _keyed_sequence() -> type:
-    """A seed sequence whose state is a given Philox key.
-
-    Handing Philox this instead of key= skips the SeedSequence it would
-    otherwise build from fresh OS entropy and then discard; the key, the
-    zero counter and so every draw are the same.  Defined on first use so
-    that importing cort does not load numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeyedSequence(ISeedSequence):
-        def __init__(self, key: list):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint64):
-            # Philox asks for its two 64-bit key words.
-            return np.array(self.key, dtype=np.uint64)
-
-    return KeyedSequence
-
-
-def _philox(seed: int, domain: int):
-    return np.random.Philox(_keyed_sequence()([seed & _MASK64, domain]))
-
-
-def stream(seed: int, domain: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed mod 2^64, domain), for a caller
-    that makes several draws from one stream."""
-    return np.random.Generator(_philox(seed, domain))
-
-
-@cache
 def _shared_philox():
     """The one Philox that `words` re-keys, with the lock that keeps each
-    re-key and its draw together.  Built on first use, like numpy.random."""
-    return threading.Lock(), _philox(0, 0)
+    re-key and its draw together.  Built on first use, like numpy.random;
+    its construction seed is never read, as `words` sets the whole state."""
+    return threading.Lock(), np.random.Philox(0)
 
 
 def words(seed: int, domain: int, count: int) -> np.ndarray:
@@ -92,13 +61,13 @@ def words(seed: int, domain: int, count: int) -> np.ndarray:
 
 
 def bits(seed: int, domain: int, shape) -> np.ndarray:
-    """Fair uint8 bits of the given shape (an int or a tuple); equal to
-    `stream(seed, domain).integers(0, 2, shape, dtype=np.uint8)`."""
+    """Fair uint8 bits of the given shape (an int or a tuple); the
+    stream's `Generator.integers(0, 2, shape, dtype=np.uint8)`."""
     count = math.prod(shape) if isinstance(shape, tuple) else shape
     raw = words(seed, domain, -(-count // 8))
     return (raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7).reshape(shape)
 
 
 def uniforms(seed: int, domain: int, count: int) -> np.ndarray:
-    """count doubles in [0, 1); equal to `stream(seed, domain).random(count)`."""
+    """count doubles in [0, 1); the stream's `Generator.random(count)`."""
     return (words(seed, domain, count) >> 11) * 2.0 ** -53

@@ -157,15 +157,14 @@ def load_profile(path) -> TreeProfile:
 class GeneratorMatrix:
     """One sampled generator: n x k binary matrix with staircase support.
 
-    Entry (i, j) is zero whenever time i+1 precedes bit j's arrival; the
-    remaining entries are fair coin flips from a Philox counter-based stream
-    keyed by (seed, GENERATOR_STREAM), so (profile, seed) reproduces the
-    matrix bit-exactly on any platform.
+    Entry (i, j) is zero whenever time i+1 precedes bit j's arrival; in a
+    `sample_generator` draw the remaining entries are fair coin flips from a
+    Philox counter-based stream keyed by (seed, GENERATOR_STREAM), so
+    (profile, seed) reproduces the matrix bit-exactly on any platform.
     """
 
     profile: TreeProfile
     bits: np.ndarray
-    seed: int
 
 
 def sample_generator(profile: TreeProfile, seed: int) -> GeneratorMatrix:
@@ -173,7 +172,7 @@ def sample_generator(profile: TreeProfile, seed: int) -> GeneratorMatrix:
     g = bits(seed, GENERATOR_STREAM, (profile.n, profile.k))
     g &= profile.support
     g.setflags(write=False)
-    return GeneratorMatrix(profile=profile, bits=g, seed=seed)
+    return GeneratorMatrix(profile=profile, bits=g)
 
 
 def encode(g: GeneratorMatrix, message) -> np.ndarray:

@@ -22,7 +22,7 @@ def hand_generator():
     """n=4, k=2, s=[1,1,2,2] with columns (1,1,0,1) and (0,0,1,1)."""
     prof = profile_from_s(4, 2, [1, 1, 2, 2])
     bits = np.array([[1, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-    return GeneratorMatrix(profile=prof, bits=bits, seed=-1)
+    return GeneratorMatrix(profile=prof, bits=bits)
 
 
 class TestNoiseless:

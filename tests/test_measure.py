@@ -66,9 +66,18 @@ class TestAccumulatingProperty:
         cm = model(p=0.02, gamma=0.9992, n=64)
         assert check_aec(cm, trials=10_000, n=64, seed=2)
 
-    def test_adversarial_measure_fails(self):
-        bad = SimpleNamespace(per_symbol_cost=np.array([1.0, -0.5, 1.0, 1.0]))
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_adversarial_measure_fails(self, position):
+        # a negative first entry shows only in the first prefix cost
+        costs = np.ones(4)
+        costs[position] = -0.5
+        bad = SimpleNamespace(per_symbol_cost=costs)
         assert not check_aec(bad, trials=64, n=4, seed=3)
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_length_out_of_range_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"n={n} must be in \[1, 8\]"):
+            check_aec(model(n=8), trials=4, n=n, seed=0)
 
     def test_exhaustive_small_n(self):
         # the prefix cost depends on (x, y) only through the mismatch

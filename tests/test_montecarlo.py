@@ -85,7 +85,7 @@ class TestMlOracle:
         prof = pure_random_profile(6, 2)
         bits = np.array(
             [[1, 0], [0, 0], [1, 0], [0, 0], [1, 0], [1, 0]], dtype=np.uint8)
-        g = GeneratorMatrix(profile=prof, bits=bits, seed=-1)
+        g = GeneratorMatrix(profile=prof, bits=bits)
         cm = model(0.1, 1.0, 6)
         message, cost = ml_oracle(g, encode(g, (1, 1)), cm)
         assert message == (1, 0)  # ties with (1, 1); smaller wins

@@ -18,19 +18,6 @@ def reference(seed, domain):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@pytest.mark.parametrize("domain", [streams.MESSAGE_STREAM,
-                                    streams.CHANNEL_STREAM])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_stream_is_philox_keyed_by_seed_and_domain(seed, domain):
-    expected = reference(seed, domain)
-    got = streams.stream(seed, domain)
-    assert np.array_equal(got.integers(0, 2 ** 62, 64),
-                          expected.integers(0, 2 ** 62, 64))
-    assert np.array_equal(got.random(64), expected.random(64))
-    assert np.array_equal(got.integers(0, 2, 200, dtype=np.uint8),
-                          expected.integers(0, 2, 200, dtype=np.uint8))
-
-
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bits_equal_generator_integers(seed, domain):
@@ -72,18 +59,6 @@ def test_interleaved_draws_equal_fresh_draws():
         else:
             assert np.array_equal(streams.uniforms(seed, domain, count),
                                   fresh.random(count))
-
-
-def test_held_generator_keeps_its_own_sequence():
-    held = streams.stream(8, streams.AEC_CHECK_STREAM)
-    expected = reference(8, streams.AEC_CHECK_STREAM)
-    assert np.array_equal(held.random(3), expected.random(3))
-    streams.bits(8, streams.AEC_CHECK_STREAM, 21)
-    streams.uniforms(9, streams.AEC_CHECK_STREAM, 4)
-    assert np.array_equal(held.integers(0, 2, 11, dtype=np.uint8),
-                          expected.integers(0, 2, 11, dtype=np.uint8))
-    streams.uniforms(8, streams.MESSAGE_STREAM, 2)
-    assert np.array_equal(held.random(5), expected.random(5))
 
 
 def test_threads_sharing_the_philox_get_their_own_draws():

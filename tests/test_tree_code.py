@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cort import (ProfileError, encode, profile_from_arrivals,
                   profile_from_json_dict, profile_from_s, sample_generator)
-from cort.streams import GENERATOR_STREAM, stream
+from cort.streams import GENERATOR_STREAM
 from cort.tree_code import load_profile
 
 
@@ -171,9 +171,10 @@ def random_profiles(count, seed):
 
 
 def reference_generator_bits(prof, seed):
-    """The generator draw as two steps on a Generator: fair bits, then the
-    staircase zeroed by a mask built from the arrivals."""
-    bits = stream(seed, GENERATOR_STREAM).integers(
+    """The generator draw as two steps on an independent Generator: fair
+    bits, then the staircase zeroed by a mask built from the arrivals."""
+    key = np.array([seed & (2 ** 64 - 1), GENERATOR_STREAM], dtype=np.uint64)
+    bits = np.random.Generator(np.random.Philox(key=key)).integers(
         0, 2, size=(prof.n, prof.k), dtype=np.uint8)
     rows = np.arange(1, prof.n + 1)[:, None]
     bits *= (rows >= np.asarray(prof.arrivals)[None, :]).astype(np.uint8)
@@ -223,7 +224,7 @@ class TestEncoding:
         prof = profile_from_arrivals(4, [1, 3])
         g = sample_generator(prof, 0)
         bits = np.array([[1, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        g = type(g)(profile=prof, bits=bits, seed=0)
+        g = type(g)(profile=prof, bits=bits)
         assert encode(g, [1, 1]).tolist() == [1, 1, 1, 0]
 
     def test_prefix_property(self):
