@@ -315,6 +315,17 @@ def _wide_successors(costs: np.ndarray, order: np.ndarray, rest):
         order, rest = _next_slice(costs, *rest)
 
 
+def _check_word(g: GeneratorMatrix, y, cm: CostModel) -> np.ndarray:
+    """y as uint8, once its length and the cost model's n match the code's."""
+    n = g.profile.n
+    y = np.asarray(y, dtype=np.uint8)
+    if len(y) != n:
+        raise ValueError(f"received word has length {len(y)}, expected {n}")
+    if cm.n != n:
+        raise ValueError(f"cost model built for n={cm.n}, code has n={n}")
+    return y
+
+
 def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
                  trace: list | None = None) -> DecodeOutcome:
     """Run the give-up stack decoder on one received word.
@@ -328,11 +339,7 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     If a trace list is supplied, one record per pop is appended.
     """
     prof = g.profile
-    y = np.asarray(y, dtype=np.uint8)
-    if len(y) != prof.n:
-        raise ValueError(f"received word has length {len(y)}, expected {prof.n}")
-    if cm.n != prof.n:
-        raise ValueError(f"cost model built for n={cm.n}, code has n={prof.n}")
+    y = _check_word(g, y, cm)
     c0 = prof.branch_fanout[0]
     if limit < c0:
         raise ValueError(

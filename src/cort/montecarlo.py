@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import BscChannel, transmit
-from .decoder import DecodeOutcome, ssdgu_decode
+from .decoder import DecodeOutcome, _check_word, ssdgu_decode
 from .measure import CostModel, prefix_cost
 from .streams import MESSAGE_STREAM, bits
 from .tree_code import GeneratorMatrix, TreeProfile, encode, sample_generator
@@ -191,13 +191,7 @@ def ml_oracle(g: GeneratorMatrix, y, cm: CostModel):
     k = g.profile.k
     if k > 20:
         raise ValueError(f"brute force limited to k <= 20, got k={k}")
-    if cm.n != g.profile.n:
-        raise ValueError(
-            f"cost model built for n={cm.n}, code has n={g.profile.n}")
-    y = np.asarray(y, dtype=np.uint8)
-    if len(y) != g.profile.n:
-        raise ValueError(
-            f"received word has length {len(y)}, expected {g.profile.n}")
+    y = _check_word(g, y, cm)
     weights = np.asarray(cm.per_symbol_cost, dtype=float)
     best_cost = math.inf
     best_index = -1

@@ -3,8 +3,8 @@
 Every random draw in cort comes from the Philox stream keyed by [seed mod
 2^64, domain], with its counter starting at 0.  Distinct domains let one
 integer seed drive independent streams for the message, the generator
-matrix, the channel noise and the accumulation check, and (seed, domain)
-reproduces a stream bit-exactly on any platform.
+matrix and the channel noise, and (seed, domain) reproduces a stream
+bit-exactly on any platform.
 
 `words` returns a stream's first raw 64-bit words; `bits` and `uniforms`
 convert them, and equal what a `np.random.Generator` on a Philox with that
@@ -31,7 +31,6 @@ import numpy as np
 MESSAGE_STREAM = 0x4D5347
 GENERATOR_STREAM = 0x47454E
 CHANNEL_STREAM = 0x4348414E
-AEC_CHECK_STREAM = 0x414543
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
 

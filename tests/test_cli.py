@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from cort import cli, decoder
 from cort.bounds import RCU_MAX_N, bound_memory_bytes
 from cort.cli import main
-from cort.tree_code import load_profile
+from cort.montecarlo import TrialConfig, simulate
+from cort.tree_code import load_profile, profile_from_arrivals
 
 
 def run(tmp_path, *argv):
@@ -326,6 +327,44 @@ class TestSimulateCommand:
                        "--out", str(out)) == 0
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
+
+    def test_resample_code_matches_simulate(self, tmp_path):
+        prof = profile_from_arrivals(16, [1, 2, 4, 6, 8, 11])
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"n": 16, "k": 6, "s": list(prof.s)}))
+        docs = {}
+        for flags in ([], ["--resample-code"]):
+            out = tmp_path / "stats.json"
+            assert run(tmp_path, "simulate", "--profile", str(path), "--p",
+                       "0.1", "--gamma", "0.9992", "--limit", "24",
+                       "--trials", "100", "--seed", "9", "--threads", "1",
+                       "--out", str(out), *flags) == 0
+            docs[bool(flags)] = json.loads(out.read_text())
+        config = TrialConfig(profile=prof, p=0.1, gamma=0.9992, limit=24,
+                             trials=100, base_seed=9, resample_code=True)
+        assert docs[True] == simulate(config).to_json_dict()
+        assert docs[True] != docs[False]
+
+
+class TestResultsDirectory:
+    BOUND = ["bound", "--profile", "pure", "--n", "8", "--k", "4",
+             "--p", "0.1"]
+
+    def test_environment_routes_records(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.RESULTS_ENV, str(tmp_path / "env"))
+        assert main(self.BOUND) == 0
+        assert len(list((tmp_path / "env" / "bound").iterdir())) == 1
+        assert not (tmp_path / "results").exists()
+
+    def test_flag_wins_over_environment(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.RESULTS_ENV, str(tmp_path / "env"))
+        assert main(["--results-dir", str(tmp_path / "flag"),
+                     *self.BOUND]) == 0
+        assert len(list((tmp_path / "flag" / "bound").iterdir())) == 1
+        assert not (tmp_path / "env").exists()
+        assert not (tmp_path / "results").exists()
 
 
 class TestTablesCommand:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cort import (BscChannel, CostModel, GeneratorMatrix, MomentTables,
                   TrialConfig, d_e_g, encode, ml_oracle,
                   profile_from_arrivals, pure_random_profile,
                   sample_generator, sbp_optimize, simulate)
-from cort.montecarlo import wilson_halfwidth
+from cort.montecarlo import trial_spans, wilson_halfwidth
 
 
 def model(p, gamma, n):
@@ -169,6 +171,18 @@ class TestWilson:
 
     def test_shrinks_with_trials(self):
         assert wilson_halfwidth(10, 100) > wilson_halfwidth(100, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=st.integers(0, 100_000), workers=st.integers(-1, 256))
+def test_trial_spans_partition_the_trials(trials, workers):
+    spans = trial_spans(trials, workers)
+    assert spans[0][0] == 0 and spans[-1][1] == trials
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert all(start < stop for start, stop in spans) or trials == 0
+    assert len(spans) <= max(workers, 1)
+    if trials < 64 or workers <= 1:
+        assert spans == [(0, trials)]
 
 
 # Exact SimStats of two small campaigns on fixed seeds, one with a fresh

@@ -8,7 +8,7 @@ from cort import streams
 
 SEEDS = [0, 1, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5]
 DOMAINS = [streams.MESSAGE_STREAM, streams.GENERATOR_STREAM,
-           streams.CHANNEL_STREAM, streams.AEC_CHECK_STREAM]
+           streams.CHANNEL_STREAM]
 SHAPES = [1, 5, 13, 255, (7, 3), (32, 8), (128, 64)]
 
 
