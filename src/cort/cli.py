@@ -101,12 +101,15 @@ def _write_json(path: str, doc, indent=None) -> None:
         fh.write("\n")
 
 
-def write_run_record(args, command: str, parameters: dict, payload: dict) -> str:
+def write_run_record(args, payload: dict) -> str:
+    """Record the command `args` ran, its arguments and its payload."""
+    parameters = {key: value for key, value in sorted(vars(args).items())
+                  if key != "func"}
     base = results_dir(args)
     stamp = time.strftime("%Y%m%dT%H%M%S")
     digest = hashlib.sha256(
         json.dumps(parameters, sort_keys=True).encode()).hexdigest()[:8]
-    name = outdir = os.path.join(base, command, f"{stamp}-{digest}")
+    name = outdir = os.path.join(base, args.command, f"{stamp}-{digest}")
     copies = 1
     while True:  # a rerun in the same second gets its own directory
         try:
@@ -117,8 +120,8 @@ def write_run_record(args, command: str, parameters: dict, payload: dict) -> str
             outdir = f"{name}-{copies}"
         except OSError as exc:
             raise CliError(f"cannot create {outdir}: {exc}") from exc
-    record = {"command": command, "parameters": parameters, "timestamp": stamp,
-              "version": __version__, "payload": payload,
+    record = {"command": args.command, "parameters": parameters,
+              "timestamp": stamp, "version": __version__, "payload": payload,
               "output_path": outdir}
     _write_json(os.path.join(outdir, "record.json"), record, indent=2)
     return outdir
@@ -213,7 +216,7 @@ def cmd_bound(args) -> int:
     print(f"gallager  = {gallager:.3e}   (gamma=1 reference)")
     if args.out:
         _write_json(args.out, payload, indent=2)
-    write_run_record(args, "bound", _echo(args), payload)
+    write_run_record(args, payload)
     return 0
 
 
@@ -236,7 +239,7 @@ def cmd_sbp(args) -> int:
         _write_json(args.out_profile, trace.final_profile.to_json_dict())
     if args.out_trace:
         _write_json(args.out_trace, payload)
-    write_run_record(args, "sbp", _echo(args), payload)
+    write_run_record(args, payload)
     return 0
 
 
@@ -248,7 +251,6 @@ def _write_first_trial_trace(config: TrialConfig, path: str) -> None:
     ssdgu_decode(g, y, config.cost_model, config.limit, trace=trace)
     with _writing(path) as fh:
         for record in trace:
-            record = dict(record, prefix=list(record["prefix"]))
             fh.write(json.dumps(record))
             fh.write("\n")
 
@@ -272,10 +274,10 @@ def cmd_simulate(args) -> int:
     if est > MEMORY_CEILING:
         raise CliError(
             f"{decodes} decode(s) at once (--threads {args.threads}) could "
-            f"need about {est / 1e9:.1f} GB (each holds the suffix tables, "
-            f"the largest sibling block and {BYTES_PER_CHECK} bytes per "
-            f"node check after the root's); reduce --limit, --threads or the "
-            f"bits per stage")
+            f"need about {est / 1e9:.1f} GB (each holds its generator, the "
+            f"suffix tables, the largest sibling block and {BYTES_PER_CHECK} "
+            f"bytes per node check after the root's); reduce --limit, "
+            f"--threads, the bits per stage or n x k")
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,
@@ -292,7 +294,7 @@ def cmd_simulate(args) -> int:
           f"± {stats.mean_nodes_ci:.4f}")
     print(f"max_nodes_checked     = {stats.max_nodes_checked}")
     payload = stats.to_json_dict()
-    outdir = write_run_record(args, "simulate", _echo(args), payload)
+    outdir = write_run_record(args, payload)
     csv_path = os.path.join(results_dir(args), "simulate.csv")
     fresh = not os.path.exists(csv_path)
     with _writing(csv_path, "a") as fh:
@@ -353,14 +355,8 @@ def cmd_tables(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(all_rows)
-    write_run_record(args, "tables",
-                     _echo(args), {"header": header, "rows": all_rows})
+    write_run_record(args, {"header": header, "rows": all_rows})
     return 0
-
-
-def _echo(args) -> dict:
-    return {key: value for key, value in sorted(vars(args).items())
-            if key != "func"}
 
 
 def build_parser() -> argparse.ArgumentParser:

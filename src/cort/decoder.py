@@ -31,12 +31,9 @@ reaches the heap in one of three ways by its width:
   C-child block is: the patterns are stacked C rows an item in one
   np.matmul per (S, C) shape.  OpenBLAS costs a 2-row product with its
   tail kernel, so one flat (2^S, S) product differed from the 2-row
-  products on 221 of 2560 rows at 8 symbols and gamma 0.9992.  On the
-  fanout-2 (128, 64) staircase (perfbench `deep-128x64`) this cut the
-  median trial time from 3.37 to 1.83 ms and the p90 from 7.92 to 6.05
-  ms (medians of 10 alternating runs on a 2-CPU VM).  Other narrow blocks
-  are costed by one numpy product as Python floats, added to the parent's
-  cost in Python.
+  products on 221 of 2560 rows at 8 symbols and gamma 0.9992.  Other
+  narrow blocks are costed by one numpy product as Python floats, added
+  to the parent's cost in Python.
 - Sorted (9 to 4096 children): costed in one product and argsorted by
   numpy.  Only the cheapest child is pushed, with a generator that yields
   the rest as (cost, index) pairs, converted 4 at a time; popping a
@@ -123,8 +120,14 @@ class DecodeOutcome:
 
 
 def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
-    """Estimated peak memory of one decode, in bytes.
+    """Estimated peak memory of one trial's generator and decode, in bytes.
 
+    The trial holds its n x k generator and the profile's support mask, 1 B
+    per entry each, and drawing the next trial's generator holds its raw
+    words and their bits, 2 B per entry more, beside them.  Packing the
+    generator's rows at decode start casts 64 columns at a time to uint64,
+    8 B per entry of n x min(k, 64).  The cost model, the channel's noise
+    draw, the codeword and the received word hold under 32 B per symbol.
     Every stage's suffix tables are held, 1 B per output symbol of their
     min(c, _CHUNK_ROWS) rows plus c / _CHUNK_ROWS for c > _CHUNK_ROWS
     children, and so is every memoized narrow stage's record: about 1 kB,
@@ -143,6 +146,8 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     root symbols) a decode at limit c_0 peaked at 36 MB traced against 72
     MB estimated.
     """
+    n, k = profile.n, profile.k
+    trial = 4 * n * k + 8 * n * min(k, 64) + 32 * n
     r = profile.ends
     fanout = profile.branch_fanout
     shapes = [(rows, r[h + 1] - r[h]) for h, rows in enumerate(fanout)]
@@ -155,7 +160,8 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
                 for rows, seg in shapes)
     after_root = (int(limit) - fanout[0] + max(fanout[1:])
                   if len(fanout) > 1 else 0)
-    return tables + memos + block + BYTES_PER_CHECK * max(after_root, 0)
+    return (trial + tables + memos + block
+            + BYTES_PER_CHECK * max(after_root, 0))
 
 
 def _pack_rows(bits: np.ndarray) -> list:
@@ -180,8 +186,10 @@ def _unpack(prefix: int, depth: int) -> tuple:
 
 def _xor_table(cols: np.ndarray) -> np.ndarray:
     """Row i XORs the rows of the 0/1 matrix `cols` that the bits of i pick,
-    the first row by the most significant bit; built by XOR-doubling."""
-    table = np.zeros((1 << len(cols), cols.shape[1]), dtype=np.uint8)
+    the first row by the most significant bit; built by XOR-doubling.  A
+    (w, M, S) stack of M matrices' rows gives the (2^w, M, S) stack of
+    their tables."""
+    table = np.zeros((1 << len(cols), *cols.shape[1:]), dtype=np.uint8)
     for j, col in enumerate(cols[::-1]):
         np.bitwise_xor(table[:1 << j], col, out=table[1 << j:2 << j])
     return table
@@ -250,11 +258,9 @@ def _narrow_records(g: GeneratorMatrix, cm: CostModel, y: np.ndarray,
             patterns.reshape(-1, children, symbols).astype(float),
             cm.per_symbol_cost[rows][:, None, :, None])
         tables = tables.reshape(len(stages), -1)[:, :1 << symbols]
-        suffixes = (np.arange(children)[:, None]
-                    >> np.arange(width - 1, -1, -1)) & 1
-        outputs = suffixes @ g.bits[rows[:, None, :], cols[:, :, None]] & 1
-        outs = (outputs ^ y[rows][:, None, :]) @ (1 << np.arange(symbols))
-        for h, table, out in zip(stages, tables.tolist(), outs.tolist()):
+        outputs = _xor_table(g.bits[rows, cols.T[:, :, None]])
+        outs = (outputs ^ y[rows]) @ (1 << np.arange(symbols))
+        for h, table, out in zip(stages, tables.tolist(), outs.T.tolist()):
             shift = prof.k - levels[h]
             parent_rows = [row >> shift for row in packed[r[h]:r[h + 1]]]
             records[h] = (parent_rows[::-1], {}, table, out, width,

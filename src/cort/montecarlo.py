@@ -76,8 +76,6 @@ class SimStats:
 
 def wilson_halfwidth(successes: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for a binomial rate."""
-    if trials == 0:
-        return 0.0
     z = Z_95
     phat = successes / trials
     denom = 1.0 + z * z / trials

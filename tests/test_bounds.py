@@ -12,7 +12,8 @@ from cort import (BoundReport, BscChannel, CostModel, MomentTables,
                   profile_from_s, pure_random_profile, rcu_exact_bsc,
                   sbp_optimize, simulate)
 from cort.bounds import (_agreement, _binom_pmfs, _curves, _pairs, _triangle,
-                         _window_probabilities, bound_memory_bytes)
+                         _window_probabilities, bound_memory_bytes,
+                         chernoff_grid)
 from reference_bounds import (full_square_cle_curves, per_stage_cfe_curves,
                               term_loop_cle_m_exact)
 
@@ -64,6 +65,10 @@ class TestMomentTables:
     def test_grid_other_than_a_point_count_rejected(self, points):
         with pytest.raises(TypeError):
             MomentTables(8, 0.1, 1.0, points)
+
+    def test_single_point_grid_rejected(self):
+        with pytest.raises(ValueError, match="need at least two grid points"):
+            chernoff_grid(1)
 
     def test_configuration_mismatch_rejected(self):
         tabs = MomentTables(8, 0.1, 1.0)

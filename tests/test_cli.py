@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cort import cli, decoder
+from cort import cli, decoder, streams
 from cort.bounds import RCU_MAX_N, bound_memory_bytes
 from cort.cli import main
 from cort.montecarlo import TrialConfig, simulate
@@ -81,12 +81,37 @@ class TestBoundCommand:
     @pytest.mark.parametrize("argv,message", [
         (["--n", "4", "--k", "2", "--limit", "nan"], "--limit"),
         (["--n", "4", "--k", "0"], "k >= 1"),
-    ], ids=["nan-limit", "zero-k"])
+        (["--n", "4"], "--profile pure requires --n and --k"),
+    ], ids=["nan-limit", "zero-k", "missing-k"])
     def test_invalid_sizes_and_limit(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "bound", "--profile", "pure", "--p", "0.1",
                    *argv) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "9"], "--n 9 conflicts with profile n=8"),
+        (["--k", "4"], "--k 4 conflicts with profile k=3"),
+    ], ids=["n", "k"])
+    def test_sizes_conflicting_with_profile_file(self, tmp_path, capsys,
+                                                 argv, message):
+        assert run(tmp_path, "bound", "--profile", two_stage(tmp_path),
+                   "--p", "0.1", *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_record_directory_not_made(self, tmp_path, capsys, monkeypatch):
+        # permission bits do not stop root, so the failure is simulated
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli.os, "makedirs", refuse)
+        assert run(tmp_path, "bound", "--profile", "pure", "--n", "8",
+                   "--k", "4", "--p", "0.1") == 2
+        err = capsys.readouterr().err
+        assert f"cannot create {tmp_path / 'results' / 'bound'}" in err
+        assert "Permission denied" in err
+        assert not any(tmp_path.iterdir())
 
     def test_grid_refinement(self, tmp_path):
         values = {}
@@ -303,6 +328,26 @@ class TestSimulateCommand:
                    "--trials", "1", "--limit", str(2 ** s1))
         assert code == 2
         assert "GB" in capsys.readouterr().err
+
+    def test_tall_generator_refused_before_drawing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # at limit 64 a (200000, 20000) staircase decodes in about 1 MB,
+        # but drawing its generator beside the support mask takes 16 GB
+        n, k = 200000, 20000
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(profile_from_arrivals(
+            n, [1 + (n // k) * j for j in range(k)]).to_json_dict()))
+
+        def undrawn(*args):
+            raise AssertionError("random words drawn")
+
+        monkeypatch.setattr(streams, "words", undrawn)
+        assert run(tmp_path, "simulate", "--profile", str(path), "--p",
+                   "0.05", "--trials", "1", "--limit", "64",
+                   "--threads", "1") == 2
+        err = capsys.readouterr().err
+        assert "GB" in err and "generator" in err
+        assert not (tmp_path / "results").exists()
 
     def test_trace_jsonl(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

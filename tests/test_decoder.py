@@ -5,10 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cort import (BscChannel, CostModel, GeneratorMatrix, encode,
-                  ml_consistency_check, prefix_cost, profile_from_arrivals,
-                  profile_from_s, pure_random_profile, sample_generator,
-                  ssdgu_decode, transmit)
+from cort import (BscChannel, CostModel, GeneratorMatrix, TrialConfig,
+                  encode, ml_consistency_check, prefix_cost,
+                  profile_from_arrivals, profile_from_s, pure_random_profile,
+                  sample_generator, simulate, ssdgu_decode, transmit)
 from cort import decoder
 from cort.montecarlo import draw_message
 from eager_decoder import eager_decode
@@ -402,6 +402,22 @@ class TestMatchesEagerReference:
 
 
 class TestNarrowTables:
+    def test_stacked_xor_table_equals_tables_and_products(self):
+        # the narrow records build every stage of one shape from one stack;
+        # each of its tables is that matrix's own table, and row i is the
+        # GF(2) product of i's bits, first bit most significant, with it
+        rng = np.random.default_rng(7)
+        for width in range(1, 5):
+            stack = rng.integers(0, 2, (width, 3, 6)).astype(np.uint8)
+            suffixes = (np.arange(1 << width)[:, None]
+                        >> np.arange(width - 1, -1, -1)) & 1
+            tables = decoder._xor_table(stack)
+            assert tables.shape == (1 << width, 3, 6)
+            for m in range(3):
+                table = tables[:, m]
+                assert np.array_equal(table, decoder._xor_table(stack[:, m]))
+                assert np.array_equal(table, suffixes @ stack[:, m] % 2)
+
     @pytest.mark.parametrize("gamma", [1.0, 0.9992])
     @pytest.mark.parametrize("children", [2, 4, 8])
     def test_entries_equal_block_products(self, children, gamma):
@@ -496,6 +512,24 @@ class TestMemoryEstimate:
                 giveups += out.gave_up
             assert giveups > 0
         assert peak > 2 * decoder.BYTES_PER_CHECK * limit
+
+    @pytest.mark.parametrize("n,k", [(1000, 500), (20000, 20), (200000, 1)])
+    def test_covers_traced_peak_of_trials(self, n, k):
+        # at limit 64 the decode is small beside what a trial draws: the
+        # generator, masked by the profile's support and drawn while the
+        # last trial's is held (1000 x 500), its rows packed 64 columns at
+        # a time as uint64 (20000 x 20), and the per-symbol costs, noise,
+        # codeword and received word (200000 x 1)
+        prof = profile_from_arrivals(n, [1 + (n // k) * j for j in range(k)])
+        config = TrialConfig(profile=prof, p=0.05, gamma=0.9992, limit=64,
+                             trials=2)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= decoder.decode_memory_bytes(prof, 64)
 
     def test_one_stage_estimate_ignores_limit(self):
         # a one-stage decode pops a terminal root child first and checks

@@ -315,6 +315,8 @@ class TestSbpOptimize:
         cm, tables = setup(4, 0.1)
         with pytest.raises(ValueError):
             sbp_optimize(4, 0, cm, 16, tables)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sbp_optimize(0, 4, cm, 16, tables)
 
 
 class TestTraceSerialization:

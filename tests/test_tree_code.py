@@ -86,6 +86,10 @@ class TestProfileFromArrivals:
         prof = profile_from_arrivals(2, [1])
         assert prof.s == (1, 1)
 
+    def test_no_arrivals_rejected(self):
+        with pytest.raises(ProfileError, match="at least one arrival time"):
+            profile_from_arrivals(4, [])
+
     def test_first_arrival_must_be_one(self):
         with pytest.raises(ProfileError, match="a_1"):
             profile_from_arrivals(4, [2, 3])
