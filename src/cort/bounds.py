@@ -175,7 +175,7 @@ def _require_match(tables: MomentTables, n: int, cm: CostModel):
 
 
 def _check_limit(limit: float):
-    if limit < 1:
+    if not limit >= 1:
         raise ValueError("limit must be at least 1")
 
 

@@ -24,7 +24,7 @@ from .bounds import (DEFAULT_GRID_POINTS, RCU_MAX_N, MomentTables,
 from .channel import BscChannel
 from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
 from .measure import CostModel
-from .montecarlo import TrialConfig, simulate, trial_instances, trial_spans
+from .montecarlo import TrialConfig, simulate, trial, trial_spans
 from .sbp import sbp_optimize
 from .tree_code import ProfileError, load_profile, pure_random_profile
 
@@ -246,7 +246,7 @@ def cmd_sbp(args) -> int:
 def _write_first_trial_trace(config: TrialConfig, path: str) -> None:
     """Debug aid: decode trial 0 again with tracing and dump JSON lines of
     (iteration, popped prefix, stage, cost, node checks)."""
-    _, g, y = next(trial_instances(config, 0, 1))
+    _, g, y = trial(config, 0)
     trace = []
     ssdgu_decode(g, y, config.cost_model, config.limit, trace=trace)
     with _writing(path) as fh:

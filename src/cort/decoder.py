@@ -122,9 +122,10 @@ class DecodeOutcome:
 def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     """Estimated peak memory of one trial's generator and decode, in bytes.
 
-    The trial holds its n x k generator and the profile's support mask, 1 B
-    per entry each, and drawing the next trial's generator holds its raw
-    words and their bits, 2 B per entry more, beside them.  Packing the
+    A trial holds its n x k generator and the profile's support mask, 1 B
+    per entry each.  The next trial's draw holds its raw words and their
+    bits, 1 B per entry each, but only after the last generator is
+    dropped, so beside the mask alone: 3 B per entry in all.  Packing the
     generator's rows at decode start casts 64 columns at a time to uint64,
     8 B per entry of n x min(k, 64).  The cost model, the channel's noise
     draw, the codeword and the received word hold under 32 B per symbol.
@@ -147,7 +148,7 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     MB estimated.
     """
     n, k = profile.n, profile.k
-    trial = 4 * n * k + 8 * n * min(k, 64) + 32 * n
+    trial = 3 * n * k + 8 * n * min(k, 64) + 32 * n
     r = profile.ends
     fanout = profile.branch_fanout
     shapes = [(rows, r[h + 1] - r[h]) for h, rows in enumerate(fanout)]
@@ -347,7 +348,7 @@ def ssdgu_decode(g: GeneratorMatrix, y, cm: CostModel, limit: int,
     prof = g.profile
     y = _check_word(g, y, cm)
     c0 = prof.branch_fanout[0]
-    if limit < c0:
+    if not limit >= c0:
         raise ValueError(
             f"limit {limit} cannot cover the root expansion (c_0 = {c0})")
 

@@ -4,7 +4,7 @@ Trials are seeded as base_seed + trial_index, so any contiguous chunk of
 trials can run on any worker and the merged counters are identical to a
 serial run.  Each trial draws its message, generator matrix (when
 resampling), and channel noise from the trial seed's streams
-(`cort.streams`); `trial_instances` is the one place that does so.
+(`cort.streams`); `trial` is the one place that does so.
 """
 
 from __future__ import annotations
@@ -89,21 +89,15 @@ def draw_message(k: int, seed: int) -> np.ndarray:
     return bits(seed, MESSAGE_STREAM, k)
 
 
-def trial_instances(config: TrialConfig, start: int, stop: int):
-    """Yield (message, generator, received word) for trials start..stop-1.
-
-    Trial i is seeded by base_seed + i.  With resample_code off, every trial
-    uses the one generator drawn from base_seed.
-    """
-    channel = config.cost_model.channel
-    fixed_g = None
-    if not config.resample_code:
-        fixed_g = sample_generator(config.profile, config.base_seed)
-    for i in range(start, stop):
-        seed = config.base_seed + i
-        m = draw_message(config.profile.k, seed)
-        g = fixed_g if fixed_g is not None else sample_generator(config.profile, seed)
-        yield m, g, transmit(channel, encode(g, m), seed)
+def trial(config: TrialConfig, i: int):
+    """Trial i's (message, generator, received word), all drawn from seed
+    base_seed + i, except that the generator is drawn from base_seed when
+    resample_code is off."""
+    seed = config.base_seed + i
+    m = draw_message(config.profile.k, seed)
+    g = sample_generator(config.profile,
+                         seed if config.resample_code else config.base_seed)
+    return m, g, transmit(config.cost_model.channel, encode(g, m), seed)
 
 
 def trial_spans(trials: int, workers: int) -> list:
@@ -124,8 +118,10 @@ def _run_chunk(config: TrialConfig, start: int, stop: int):
     nc_sq_sum = 0
     nc_max = 0
     stack_max = 0
-    for m, g, y in trial_instances(config, start, stop):
+    for i in range(start, stop):
+        m, g, y = trial(config, i)
         outcome = ssdgu_decode(g, y, cm, config.limit)
+        del g, y  # so the next trial draws its generator beside neither
         if outcome.gave_up:
             giveups += 1
         elif outcome.result != tuple(m.tolist()):

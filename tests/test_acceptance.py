@@ -15,7 +15,7 @@ from cort import (BscChannel, CostModel, MomentTables, TrialConfig,
                   rcu_exact_bsc, sbp_optimize, simulate, ssdgu_decode)
 from cort.cli import REFERENCE_LIMITS, REFERENCE_TABLES, table_rows
 from cort.measure import check_aec
-from cort.montecarlo import trial_instances
+from cort.montecarlo import trial
 
 
 def model(p, gamma, n):
@@ -136,7 +136,8 @@ def test_criterion_6_ml_consistency():
         cfg = TrialConfig(profile=prof, p=0.05, gamma=gamma, limit=1024,
                           trials=1000, base_seed=314, resample_code=True)
         cm = cfg.cost_model
-        for _, g, y in trial_instances(cfg, 0, cfg.trials):
+        for i in range(cfg.trials):
+            _, g, y = trial(cfg, i)
             outcome = ssdgu_decode(g, y, cm, cfg.limit)
             if not outcome.gave_up:
                 ok &= ml_consistency_check(g, y, cm, outcome)

@@ -235,6 +235,14 @@ class TestCleBound:
         with pytest.raises(ValueError):
             d_e_g(prof, model(0.1, 1.0, 4), 0, MomentTables(4, 0.1, 1.0))
 
+    def test_nan_limit_rejected(self):
+        # NaN < 1 is false, so `limit < 1` alone would let NaN through and
+        # every field of the report would come out NaN
+        prof = profile_from_arrivals(16, [1, 3, 5, 7, 9, 11, 13, 15])
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            d_e_g(prof, model(0.05, 1.0, 16), math.nan,
+                  MomentTables(16, 0.05, 1.0))
+
 
 def random_stage_rows(rng, n, stages, rows, top):
     """(rows, stages + 1) levels and ends of random profiles of n times with
@@ -484,6 +492,12 @@ class TestExactCle:
         prof = pure_random_profile(4, 2)
         with pytest.raises(ValueError, match="gamma"):
             d_cle_m_exact(prof, model(0.1, 0.9, 4), 16)
+
+    def test_nan_limit_rejected(self):
+        # a NaN limit that passed the check would give inf
+        prof = profile_from_arrivals(16, [1, 3, 5, 7, 9, 11, 13, 15])
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            d_cle_m_exact(prof, model(0.05, 1.0, 16), math.nan)
 
     def test_below_chernoff_version(self):
         rng = np.random.default_rng(5)

@@ -78,6 +78,14 @@ class TestHandTrace:
         with pytest.raises(ValueError, match="c_0"):
             ssdgu_decode(g, np.zeros(4, dtype=np.uint8), model(n=4), limit=1)
 
+    def test_nan_limit_rejected(self):
+        # no node count exceeds a NaN limit, so such a decode would never
+        # give up
+        g = hand_generator()
+        with pytest.raises(ValueError, match="c_0"):
+            ssdgu_decode(g, np.zeros(4, dtype=np.uint8), model(n=4),
+                         limit=math.nan)
+
     def test_wrong_length_rejected(self):
         g = hand_generator()
         with pytest.raises(ValueError, match="length"):
@@ -516,9 +524,9 @@ class TestMemoryEstimate:
     @pytest.mark.parametrize("n,k", [(1000, 500), (20000, 20), (200000, 1)])
     def test_covers_traced_peak_of_trials(self, n, k):
         # at limit 64 the decode is small beside what a trial draws: the
-        # generator, masked by the profile's support and drawn while the
-        # last trial's is held (1000 x 500), its rows packed 64 columns at
-        # a time as uint64 (20000 x 20), and the per-symbol costs, noise,
+        # generator, drawn as raw words and bits and masked by the
+        # profile's support (1000 x 500), its rows packed 64 columns at a
+        # time as uint64 (20000 x 20), and the per-symbol costs, noise,
         # codeword and received word (200000 x 1)
         prof = profile_from_arrivals(n, [1 + (n // k) * j for j in range(k)])
         config = TrialConfig(profile=prof, p=0.05, gamma=0.9992, limit=64,
@@ -530,6 +538,23 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= decoder.decode_memory_bytes(prof, 64)
+
+    def test_next_generator_drawn_beside_mask_only(self):
+        # the last trial's generator is dropped before the next is drawn,
+        # so with the support mask built beforehand a resampled campaign
+        # holds only the draw's raw words and bits, 2 B per entry
+        n, k = 4000, 2000
+        prof = profile_from_arrivals(n, [1 + 2 * j for j in range(k)])
+        sample_generator(prof, 0)  # builds the support mask and the Philox
+        config = TrialConfig(profile=prof, p=0.05, gamma=0.9992, limit=64,
+                             trials=3)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * k
 
     def test_one_stage_estimate_ignores_limit(self):
         # a one-stage decode pops a terminal root child first and checks

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cort import (BscChannel, CostModel, GeneratorMatrix, MomentTables,
                   TrialConfig, d_e_g, encode, ml_oracle,
                   profile_from_arrivals, pure_random_profile,
-                  sample_generator, sbp_optimize, simulate)
-from cort.montecarlo import trial_spans, wilson_halfwidth
+                  sample_generator, sbp_optimize, simulate, transmit)
+from cort.montecarlo import draw_message, trial, trial_spans, wilson_halfwidth
 
 
 def model(p, gamma, n):
@@ -27,6 +27,18 @@ def hamming_argmin(g: GeneratorMatrix, y):
     dist = ((msgs @ g.bits.T) % 2 != np.asarray(y, np.uint8)[None, :]).sum(axis=1)
     best = int(np.argmin(dist))
     return tuple((best >> int(s)) & 1 for s in shifts)
+
+
+def assert_trial_draws(config, i, generator_seed):
+    """Trial i carries the message and noise of seed base_seed + i and the
+    generator of generator_seed."""
+    seed = config.base_seed + i
+    m, g, y = trial(config, i)
+    assert np.array_equal(m, draw_message(config.profile.k, seed))
+    assert np.array_equal(
+        g.bits, sample_generator(config.profile, generator_seed).bits)
+    assert np.array_equal(
+        y, transmit(config.cost_model.channel, encode(g, m), seed))
 
 
 class TestSimulate:
@@ -64,8 +76,25 @@ class TestSimulate:
         prof = profile_from_arrivals(12, [1, 2, 5])
         fixed = TrialConfig(profile=prof, p=0.05, gamma=1.0, limit=64,
                             trials=50, base_seed=4, resample_code=False)
-        stats = simulate(fixed)
-        assert stats.trials == 50
+        assert not np.array_equal(sample_generator(prof, 4).bits,
+                                  sample_generator(prof, 5).bits)
+        for i in range(fixed.trials):
+            assert_trial_draws(fixed, i, generator_seed=4)
+
+    def test_resampled_code_draws_each_trial(self):
+        prof = profile_from_arrivals(12, [1, 2, 5])
+        resampled = TrialConfig(profile=prof, p=0.05, gamma=1.0, limit=64,
+                                trials=50, base_seed=4, resample_code=True)
+        for i in range(resampled.trials):
+            assert_trial_draws(resampled, i, generator_seed=4 + i)
+
+    def test_nan_limit_rejected(self):
+        # no node count exceeds a NaN limit, so such a campaign would never
+        # give up
+        prof = profile_from_arrivals(16, [1, 3, 5, 7, 9, 11, 13, 15])
+        with pytest.raises(ValueError, match="c_0"):
+            simulate(TrialConfig(profile=prof, p=0.2, gamma=1.0,
+                                 limit=math.nan, trials=20))
 
     def test_zero_trials_rejected(self):
         prof = pure_random_profile(4, 2)

@@ -1,10 +1,13 @@
-"""The README's "Library sketch" block runs as written, so that the public
-signatures it shows cannot drift from the code."""
+"""The README's "Library sketch" block runs as written, and each `cort`
+line of its "Command line" block parses, so that neither the public
+signatures nor the flags it shows can drift from the code."""
 
 import re
+import shlex
 from pathlib import Path
 
 import cort
+from cort import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +20,16 @@ def test_library_sketch_runs():
     exec(code, names)
     assert isinstance(names["report"], cort.BoundReport)
     assert names["report"].profile == names["profile"]
+
+
+def test_command_lines_parse():
+    text = README.read_text()
+    block = text[text.index("## Command line"):]
+    shell = re.search(r"```sh\n(.*?)```", block, re.S).group(1)
+    commands = [line for line in shell.replace("\\\n", " ").splitlines()
+                if line.startswith("cort ")]
+    assert [c.split()[1] for c in commands] \
+        == ["bound", "sbp", "simulate", "tables"]
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])

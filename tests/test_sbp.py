@@ -318,6 +318,12 @@ class TestSbpOptimize:
         with pytest.raises(ValueError, match="n must be at least 1"):
             sbp_optimize(0, 4, cm, 16, tables)
 
+    def test_nan_limit_rejected(self):
+        # a NaN limit that passed the check would make every step's d_e_g NaN
+        cm, tables = setup(16, 0.05)
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            sbp_optimize(16, 4, cm, math.nan, tables)
+
 
 class TestTraceSerialization:
     def test_json_round_trip_fields(self):
