@@ -22,11 +22,11 @@ from .bounds import (DEFAULT_GRID_POINTS, RCU_MAX_N, MomentTables,
                      bound_memory_bytes, d_e_g, gallager_reference_bsc,
                      rcu_exact_bsc)
 from .channel import BscChannel
-from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
+from .decoder import BYTES_PER_CHECK, ssdgu_decode, stages_memory_bytes
 from .measure import CostModel
 from .montecarlo import TrialConfig, simulate, trial, trial_spans
 from .sbp import sbp_optimize
-from .tree_code import ProfileError, load_profile, pure_random_profile
+from .tree_code import load_profile, pure_random_profile
 
 RESULTS_ENV = "CORT_RESULTS_DIR"
 # Largest estimated peak memory, in bytes, that a command may go on to use.
@@ -64,10 +64,14 @@ def results_dir(args) -> str:
     return args.results_dir or os.environ.get(RESULTS_ENV, "results")
 
 
+def _simulate_csv(args) -> str:
+    return os.path.join(results_dir(args), "simulate.csv")
+
+
 def _check_outputs(args):
     """Reject, before any work, an output file that is a directory or whose
-    directory does not exist, and a results directory that is not (and
-    cannot become) one."""
+    directory does not exist, a `simulate.csv` that is a directory, and a
+    results directory that is not (and cannot become) one."""
     for option in ("out", "out_profile", "out_trace", "trace_jsonl"):
         path = getattr(args, option, None)
         flag = "--" + option.replace("_", "-")
@@ -75,6 +79,9 @@ def _check_outputs(args):
             raise CliError(f"{flag} {path} is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"{flag} {path}: its directory does not exist")
+    csv_path = _simulate_csv(args)
+    if args.command == "simulate" and os.path.isdir(csv_path):
+        raise CliError(f"{csv_path} is a directory")
     base = existing = os.path.abspath(results_dir(args))
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -127,14 +134,28 @@ def write_run_record(args, payload: dict) -> str:
     return outdir
 
 
-def _resolve_profile(args):
+def _whole_number(text: str) -> int:
+    """An integer option's value, written as digits or as a float with no
+    fractional part, such as 5e6."""
+    with contextlib.suppress(ValueError):
+        return int(text)
+    with contextlib.suppress(ValueError):
+        if float(text).is_integer():
+            return int(float(text))
+    raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+
+
+def _resolve_profile(args, check_pure):
+    """The profile --profile names.  check_pure(n, k) sees a pure profile's
+    sizes first, so that it can refuse them before the profile is built."""
     if args.profile == "pure":
         if args.n is None or args.k is None:
             raise CliError("--profile pure requires --n and --k")
-        try:
-            return pure_random_profile(args.n, args.k)
-        except ProfileError as exc:
-            raise CliError(f"--profile pure: {exc}") from exc
+        if min(args.n, args.k) < 1:
+            raise CliError(f"--profile pure: need n >= 1 and k >= 1, "
+                           f"got n={args.n}, k={args.k}")
+        check_pure(args.n, args.k)
+        return pure_random_profile(args.n, args.k)
     try:
         prof = load_profile(args.profile)
     except OSError as exc:
@@ -167,8 +188,6 @@ def _validate_limit(args):
 
 
 def _validate_channel(args):
-    if args.p is None:
-        raise CliError("--p is required")
     try:
         BscChannel(args.p)
     except ValueError as exc:
@@ -192,10 +211,9 @@ def _require_finite(docs, n: int, k: int, limit: float):
 
 def cmd_bound(args) -> int:
     _validate_channel(args)
-    if args.profile == "pure" and args.n is not None:
-        # a pure profile has one stage: reject its grid before building it
-        _validate_grid_points(args, args.n, 1)
-    prof = _resolve_profile(args)
+    # a pure profile has one stage: reject its grid before building it
+    prof = _resolve_profile(
+        args, lambda n, k: _validate_grid_points(args, n, 1))
     _validate_grid_points(args, prof.n, prof.num_stages)
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
@@ -255,22 +273,21 @@ def _write_first_trial_trace(config: TrialConfig, path: str) -> None:
             fh.write("\n")
 
 
-def cmd_simulate(args) -> int:
-    _validate_channel(args)
-    prof = _resolve_profile(args)
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
-    c0 = prof.branch_fanout[0]
-    if args.limit < c0:
-        raise CliError(
-            f"--limit {args.limit} is below the root fanout c_0 = 2^{prof.s[0]} "
-            f"= {c0}; the decoder checks every root child first")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.threads <= cpus:
-        raise CliError(f"--threads must be between 1 and the {cpus} CPUs "
-                       f"of this machine, got {args.threads}")
+def _check_root(args, bits: int):
+    """Refuse a --limit below the root fanout c_0 = 2^bits: the decoder
+    checks every root child first."""
+    if args.limit >> bits < 1:  # limit < 2^bits, without forming 2^bits
+        # str() refuses an int of over 4300 digits: give c_0's only if few
+        c0 = f" = {1 << bits}" if bits <= 64 else ""
+        raise CliError(f"--limit {args.limit} is below the root fanout "
+                       f"c_0 = 2^{bits}{c0}; the decoder checks every root "
+                       f"child first")
+
+
+def _check_memory(args, n: int, k: int, ends, fanout):
+    """Refuse decodes that together could need more than MEMORY_CEILING."""
     decodes = len(trial_spans(args.trials, args.threads))
-    est = decodes * decode_memory_bytes(prof, args.limit)
+    est = decodes * stages_memory_bytes(n, k, ends, fanout, args.limit)
     if est > MEMORY_CEILING:
         raise CliError(
             f"{decodes} decode(s) at once (--threads {args.threads}) could "
@@ -278,6 +295,24 @@ def cmd_simulate(args) -> int:
             f"suffix tables, the largest sibling block and {BYTES_PER_CHECK} "
             f"bytes per node check after the root's); reduce --limit, "
             f"--threads, the bits per stage or n x k")
+
+
+def cmd_simulate(args) -> int:
+    _validate_channel(args)
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise CliError(f"--threads must be between 1 and the {cpus} CPUs "
+                       f"of this machine, got {args.threads}")
+
+    def check_pure(n, k):  # one stage of 2^k children, checked unbuilt
+        _check_root(args, k)
+        _check_memory(args, n, k, (0, n), (1 << k,))
+
+    prof = _resolve_profile(args, check_pure)
+    _check_root(args, prof.s[0])
+    _check_memory(args, prof.n, prof.k, prof.ends, prof.branch_fanout)
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,
@@ -295,7 +330,7 @@ def cmd_simulate(args) -> int:
     print(f"max_nodes_checked     = {stats.max_nodes_checked}")
     payload = stats.to_json_dict()
     outdir = write_run_record(args, payload)
-    csv_path = os.path.join(results_dir(args), "simulate.csv")
+    csv_path = _simulate_csv(args)
     fresh = not os.path.exists(csv_path)
     with _writing(csv_path, "a") as fh:
         writer = csv.writer(fh)
@@ -361,7 +396,7 @@ def cmd_tables(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cort",
+        prog="cort", allow_abbrev=False,
         description="Random tree codes under a decoding budget: bounds, "
                     "profile optimization, and simulation.")
     parser.add_argument("--results-dir", default=None,
@@ -369,36 +404,39 @@ def build_parser() -> argparse.ArgumentParser:
                              "or ./results)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("bound", help="evaluate the error bounds for a profile")
+    def command(name, func, summary):
+        cmd = sub.add_parser(name, allow_abbrev=False, help=summary)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    pb = command("bound", cmd_bound, "evaluate the error bounds for a profile")
     pb.add_argument("--profile", required=True,
                     help='profile JSON path, or "pure" for s(1) = k')
     pb.add_argument("--n", type=int)
     pb.add_argument("--k", type=int)
-    pb.add_argument("--p", type=float)
+    pb.add_argument("--p", type=float, required=True)
     pb.add_argument("--gamma", type=float, default=1.0)
     pb.add_argument("--limit", type=float, default=1e9)
     pb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     pb.add_argument("--out")
-    pb.set_defaults(func=cmd_bound)
 
-    ps = sub.add_parser("sbp", help="optimize a branching profile greedily")
+    ps = command("sbp", cmd_sbp, "optimize a branching profile greedily")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--p", type=float)
+    ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--gamma", type=float, default=1.0)
     ps.add_argument("--limit", type=float, default=1e9)
     ps.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     ps.add_argument("--out-profile")
     ps.add_argument("--out-trace")
-    ps.set_defaults(func=cmd_sbp)
 
-    pm = sub.add_parser("simulate", help="Monte Carlo decoder statistics")
+    pm = command("simulate", cmd_simulate, "Monte Carlo decoder statistics")
     pm.add_argument("--profile", required=True)
     pm.add_argument("--n", type=int)
     pm.add_argument("--k", type=int)
-    pm.add_argument("--p", type=float)
+    pm.add_argument("--p", type=float, required=True)
     pm.add_argument("--gamma", type=float, default=1.0)
-    pm.add_argument("--limit", type=int, default=4096)
+    pm.add_argument("--limit", type=_whole_number, default=4096)
     pm.add_argument("--trials", type=int, required=True)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--resample-code", action="store_true", default=False,
@@ -410,13 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--trace-jsonl",
                     help="debug: write trial 0's pop-by-pop trace as JSON lines")
     pm.add_argument("--out")
-    pm.set_defaults(func=cmd_simulate)
 
-    pt = sub.add_parser("tables", help="reproduce the reference tables as CSV")
+    pt = command("tables", cmd_tables, "reproduce the reference tables as CSV")
     pt.add_argument("--paper-table", type=int, choices=[1, 2, 3, 4])
     pt.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     pt.add_argument("--out")
-    pt.set_defaults(func=cmd_tables)
     return parser
 
 

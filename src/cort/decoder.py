@@ -147,11 +147,16 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     root symbols) a decode at limit c_0 peaked at 36 MB traced against 72
     MB estimated.
     """
-    n, k = profile.n, profile.k
+    return stages_memory_bytes(profile.n, profile.k, profile.ends,
+                               profile.branch_fanout, limit)
+
+
+def stages_memory_bytes(n: int, k: int, ends, fanout, limit: int) -> int:
+    """decode_memory_bytes of a profile given by n, k, its stage ends and its
+    fanouts alone, so that a guard can apply it before the profile is built
+    (a pure one has ends (0, n) and fanout (2^k,))."""
     trial = 3 * n * k + 8 * n * min(k, 64) + 32 * n
-    r = profile.ends
-    fanout = profile.branch_fanout
-    shapes = [(rows, r[h + 1] - r[h]) for h, rows in enumerate(fanout)]
+    shapes = [(rows, ends[h + 1] - ends[h]) for h, rows in enumerate(fanout)]
     tables = sum((min(rows, _CHUNK_ROWS)
                   + (rows >> _CHUNK_BITS if rows > _CHUNK_ROWS else 0)) * seg
                  for rows, seg in shapes)

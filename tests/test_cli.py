@@ -43,9 +43,10 @@ class TestBoundCommand:
         assert "d_cle_g" in capsys.readouterr().out
 
     def test_missing_p_is_usage_error(self, tmp_path, capsys):
-        code = run(tmp_path, "bound", "--profile", "pure", "--n", "8", "--k", "4")
-        assert code != 0
-        assert "error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "bound", "--profile", "pure", "--n", "8", "--k", "4")
+        assert exc.value.code == 2
+        assert "--p" in capsys.readouterr().err
 
     def test_unreadable_profile(self, tmp_path, capsys):
         code = run(tmp_path, "bound", "--profile", str(tmp_path / "nope.json"),
@@ -310,6 +311,45 @@ class TestSimulateCommand:
             in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("n,k,message", [
+        ("1000000000", "1", "GB"),
+        ("8", "13", "c_0 = 2^13 = 8192;"),
+        ("1", "20000", "c_0 = 2^20000;"),
+    ], ids=["memory", "root-fanout", "root-fanout-digits"])
+    def test_pure_sizes_checked_before_profile(self, tmp_path, capsys,
+                                               monkeypatch, n, k, message):
+        # a (1e9, 1) pure profile takes 32 GB to build, and 2^20000 has
+        # more digits than str() converts
+        def unbuilt(n, k):
+            raise AssertionError("profile built before the checks")
+
+        monkeypatch.setattr(cli, "pure_random_profile", unbuilt)
+        assert run(tmp_path, "simulate", "--profile", "pure", "--n", n,
+                   "--k", k, "--p", "0.1", "--trials", "1",
+                   "--threads", "1") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["64", "64.0", "6.4e1", "+64"])
+    def test_limit_in_any_whole_spelling(self, tmp_path, limit):
+        # every spelling records the same int limit, so writes the same bytes
+        out = tmp_path / "stats.json"
+        assert run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
+                   "--k", "3", "--p", "0.05", "--limit", limit, "--trials",
+                   "5", "--threads", "1", "--out", str(out)) == 0
+        record, = (tmp_path / "results" / "simulate").glob("*/record.json")
+        assert json.loads(record.read_text())["parameters"]["limit"] == 64
+        with open(tmp_path / "results" / "simulate.csv") as fh:
+            assert list(csv.reader(fh))[1][4] == "64"
+
+    @pytest.mark.parametrize("limit", ["5.5", "nan", "inf", "1e400", "64x"])
+    def test_non_whole_limit_usage_error(self, tmp_path, capsys, limit):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
+                "--k", "3", "--p", "0.05", "--limit", limit, "--trials", "5")
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_limit_below_root_fanout(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
                    "--k", "6", "--p", "0.05", "--trials", "10",
@@ -537,6 +577,19 @@ class TestValidationLeavesNoPartialFiles:
         assert blocker.read_text() == ""
 
 
+    def test_simulate_csv_directory_rejected_first(self, tmp_path, capsys):
+        csv_dir = tmp_path / "results" / "simulate.csv"
+        csv_dir.mkdir(parents=True)
+        assert run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
+                   "--k", "3", "--p", "0.05", "--limit", "64",
+                   "--trials", "2", "--threads", "1") == 2
+        captured = capsys.readouterr()
+        assert f"{csv_dir} is a directory" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in (tmp_path / "results").iterdir()] \
+            == ["simulate.csv"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full, where every write fails")
 @pytest.mark.parametrize("argv", [
@@ -552,6 +605,45 @@ def test_failed_write_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "cannot write /dev/full" in err
     assert "Traceback" not in err
+
+
+SIMULATE = ["simulate", "--profile", "pure", "--n", "8", "--k", "3", "--p",
+            "0.05", "--trials", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*SIMULATE, "--thr", "1"],
+    [*SIMULATE, "--resample"],
+    ["bound", "--prof", "pure", "--n", "8", "--k", "4", "--p", "0.1"],
+    ["sbp", "--n", "4", "--k", "2", "--p", "0.1", "--grid", "3"],
+    ["tables", "--paper", "1"],
+    ["--results", "DIR", "bound", "--profile", "pure", "--n", "8", "--k",
+     "4", "--p", "0.1"],
+], ids=["simulate-threads", "simulate-resample-code", "bound-profile",
+        "sbp-grid-points", "tables-paper-table", "results-dir"])
+def test_abbreviated_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # each flag is accepted only as declared, not as a prefix of it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sbp", "--n", "4", "--k", "2"],
+    ["simulate", "--profile", "pure", "--n", "8", "--k", "3", "--trials",
+     "5"],
+], ids=["sbp", "simulate"])
+def test_missing_p_refused_by_parser(tmp_path, capsys, argv):
+    # as in TestBoundCommand.test_missing_p_is_usage_error
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --p" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 # Trial 0's exact pop trace and the exact statistics of a fixed-code campaign
