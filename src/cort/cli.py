@@ -16,13 +16,14 @@ import math
 import os
 import sys
 import time
+from decimal import Decimal
 
 from . import __version__
 from .bounds import (DEFAULT_GRID_POINTS, RCU_MAX_N, MomentTables,
                      bound_memory_bytes, d_e_g, gallager_reference_bsc,
                      rcu_exact_bsc)
 from .channel import BscChannel
-from .decoder import BYTES_PER_CHECK, ssdgu_decode, stages_memory_bytes
+from .decoder import BYTES_PER_CHECK, decode_memory_bytes, ssdgu_decode
 from .measure import CostModel
 from .montecarlo import TrialConfig, simulate, trial, trial_spans
 from .sbp import sbp_optimize
@@ -145,16 +146,14 @@ def _whole_number(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
 
 
-def _resolve_profile(args, check_pure):
-    """The profile --profile names.  check_pure(n, k) sees a pure profile's
-    sizes first, so that it can refuse them before the profile is built."""
+def _resolve_profile(args):
+    """The profile --profile names."""
     if args.profile == "pure":
         if args.n is None or args.k is None:
             raise CliError("--profile pure requires --n and --k")
         if min(args.n, args.k) < 1:
             raise CliError(f"--profile pure: need n >= 1 and k >= 1, "
                            f"got n={args.n}, k={args.k}")
-        check_pure(args.n, args.k)
         return pure_random_profile(args.n, args.k)
     try:
         prof = load_profile(args.profile)
@@ -171,13 +170,21 @@ def _resolve_profile(args, check_pure):
     return prof
 
 
+def _gigabytes(est: int) -> str:
+    """An estimate of est bytes in GB, to one decimal; from 1e18 B on, in
+    powers of ten, so that no int beyond the float range becomes a float."""
+    if est < 10 ** 18:
+        return f"{est / 1e9:.1f}"
+    return f"{Decimal(est) / 10 ** 9:.1e}"
+
+
 def _validate_grid_points(args, n: int, stages: int):
     if args.grid_points < 2:
         raise CliError(f"--grid-points must be at least 2, got {args.grid_points}")
     est = bound_memory_bytes(n, stages, args.grid_points)
     if est > MEMORY_CEILING:
         raise CliError(
-            f"--grid-points {args.grid_points} could need about {est / 1e9:.1f} "
+            f"--grid-points {args.grid_points} could need about {_gigabytes(est)} "
             f"GB of moment and window tables and bound terms at n = {n}; "
             f"use fewer points")
 
@@ -211,21 +218,19 @@ def _require_finite(docs, n: int, k: int, limit: float):
 
 def cmd_bound(args) -> int:
     _validate_channel(args)
-    # a pure profile has one stage: reject its grid before building it
-    prof = _resolve_profile(
-        args, lambda n, k: _validate_grid_points(args, n, 1))
+    prof = _resolve_profile(args)
     _validate_grid_points(args, prof.n, prof.num_stages)
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
     tables = MomentTables(prof.n, args.p, args.gamma, args.grid_points)
     report = d_e_g(prof, cm, args.limit, tables)
+    _require_finite([vars(report)], prof.n, prof.k, args.limit)
     rcu = (rcu_exact_bsc(prof.n, prof.k, args.p) if prof.n <= RCU_MAX_N
            else None)
     gallager = gallager_reference_bsc(prof.n, prof.k, args.p, tables.grid)
     payload = report.to_json_dict()
     payload["rcu_exact"] = rcu
     payload["gallager_reference"] = gallager
-    _require_finite([payload], prof.n, prof.k, args.limit)
     print(f"d_cle_g   = {report.d_cle_g:.3e}   (varrho* = {report.varrho_star:.4f})")
     print(f"d_cfe_g   = {report.d_cfe_g:.3e}   (rho*    = {report.rho_star:.4f})")
     print(f"d_e_g     = {report.d_e_g:.3e}")
@@ -284,14 +289,14 @@ def _check_root(args, bits: int):
                        f"child first")
 
 
-def _check_memory(args, n: int, k: int, ends, fanout):
+def _check_memory(args, prof):
     """Refuse decodes that together could need more than MEMORY_CEILING."""
     decodes = len(trial_spans(args.trials, args.threads))
-    est = decodes * stages_memory_bytes(n, k, ends, fanout, args.limit)
+    est = decodes * decode_memory_bytes(prof, args.limit)
     if est > MEMORY_CEILING:
         raise CliError(
             f"{decodes} decode(s) at once (--threads {args.threads}) could "
-            f"need about {est / 1e9:.1f} GB (each holds its generator, the "
+            f"need about {_gigabytes(est)} GB (each holds its generator, the "
             f"suffix tables, the largest sibling block and {BYTES_PER_CHECK} "
             f"bytes per node check after the root's); reduce --limit, "
             f"--threads, the bits per stage or n x k")
@@ -305,14 +310,9 @@ def cmd_simulate(args) -> int:
     if not 1 <= args.threads <= cpus:
         raise CliError(f"--threads must be between 1 and the {cpus} CPUs "
                        f"of this machine, got {args.threads}")
-
-    def check_pure(n, k):  # one stage of 2^k children, checked unbuilt
-        _check_root(args, k)
-        _check_memory(args, n, k, (0, n), (1 << k,))
-
-    prof = _resolve_profile(args, check_pure)
-    _check_root(args, prof.s[0])
-    _check_memory(args, prof.n, prof.k, prof.ends, prof.branch_fanout)
+    prof = _resolve_profile(args)
+    _check_root(args, prof.levels[1])
+    _check_memory(args, prof)
     config = TrialConfig(profile=prof, p=args.p, gamma=args.gamma,
                          limit=args.limit, trials=args.trials,
                          base_seed=args.seed,

@@ -145,18 +145,15 @@ def decode_memory_bytes(profile: TreeProfile, limit: int) -> int:
     max(c_1, ...) of them, none for a one-stage profile, whose decode
     returns at the first pop.  At the paper's design point (c_0 = 2^21, 32
     root symbols) a decode at limit c_0 peaked at 36 MB traced against 72
-    MB estimated.
+    MB estimated.  The estimate reads only the profile's stages, and
+    charges a stage of more than 64 bits as 2^64 children without forming
+    its fanout: 32 B a child of those is far above any memory ceiling.
     """
-    return stages_memory_bytes(profile.n, profile.k, profile.ends,
-                               profile.branch_fanout, limit)
-
-
-def stages_memory_bytes(n: int, k: int, ends, fanout, limit: int) -> int:
-    """decode_memory_bytes of a profile given by n, k, its stage ends and its
-    fanouts alone, so that a guard can apply it before the profile is built
-    (a pure one has ends (0, n) and fanout (2^k,))."""
+    n, k, levels, ends = profile.n, profile.k, profile.levels, profile.ends
     trial = 3 * n * k + 8 * n * min(k, 64) + 32 * n
-    shapes = [(rows, ends[h + 1] - ends[h]) for h, rows in enumerate(fanout)]
+    shapes = [(1 << min(b - a, 64), ends[h + 1] - ends[h])
+              for h, (a, b) in enumerate(zip(levels, levels[1:]))]
+    fanout = [rows for rows, _ in shapes]
     tables = sum((min(rows, _CHUNK_ROWS)
                   + (rows >> _CHUNK_BITS if rows > _CHUNK_ROWS else 0)) * seg
                  for rows, seg in shapes)

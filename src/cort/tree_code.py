@@ -1,9 +1,10 @@
 """Branching profiles of (n, k) random tree codes, generator sampling, prefix encoding.
 
-A profile is stored canonically as the vector s(1..n), where s(t) counts the
-message bits that have arrived by time t.  Everything else (arrival times,
-stage levels, stage end times, fanouts) is derived from s once, at
-construction, and never stored independently.
+A profile is stored as its stages: the levels s(b_h) and the end times r_[h]
+of its h_f branching stages, O(h_f) numbers whatever n and k.  The vector
+s(1..n), where s(t) counts the message bits that have arrived by time t, the
+arrival times and the fanouts are derived from the stages on first read and
+kept, so a pure random profile costs O(1) until one of them is read.
 
 Time indices t and arrival times are 1-based throughout, matching the JSON
 interchange format; message bits are 0-based in code.
@@ -12,7 +13,7 @@ interchange format; message bits are 0-based in code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,30 +27,41 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class TreeProfile:
-    """Branching structure of an (n, k) random tree code.
-
-    Fields beyond (n, k, s) are derived from s, with b_1 = 1 < b_2 < ... <
-    b_{h_f} the branching times, where s strictly increases:
-      arrivals[j]      -- first time t with s(t) >= j+1 (0-based bit j)
-      levels[h]        -- s(b_h), the prefix length of a stage-h node, for
-                          h = 0..h_f: (0, s(b_1), ..., s(b_{h_f}) = k)
-      ends[h]          -- r_[h], the last time whose output a stage-h node
-                          determines: (0, b_2 - 1, ..., b_{h_f} - 1, n)
-      branch_fanout[h] -- c_h = 2^(levels[h+1] - levels[h]), h = 0..h_f-1
+    """Branching structure of an (n, k) random tree code, stored as its
+    stages.  With b_1 = 1 < b_2 < ... < b_{h_f} the branching times, where
+    s strictly increases:
+      levels[h] -- s(b_h), the prefix length of a stage-h node, for
+                   h = 0..h_f: (0, s(b_1), ..., s(b_{h_f}) = k)
+      ends[h]   -- r_[h], the last time whose output a stage-h node
+                   determines: (0, b_2 - 1, ..., b_{h_f} - 1, n)
+    Derived on first read and kept (not fields, so not in eq, hash or repr):
+      s[t-1]        -- s(t) = levels[h+1] for ends[h] < t <= ends[h+1]
+      arrivals[j]   -- first time t with s(t) >= j+1 (0-based bit j)
+      branch_fanout -- c_h = 2^(levels[h+1] - levels[h]), h = 0..h_f-1
     """
 
     n: int
     k: int
-    s: tuple
-    arrivals: tuple = field(repr=False)
-    levels: tuple = field(repr=False)
-    ends: tuple = field(repr=False)
-    branch_fanout: tuple = field(repr=False)
+    levels: tuple
+    ends: tuple
 
     @property
     def num_stages(self) -> int:
         """Number of branching stages h_f."""
         return len(self.levels) - 1
+
+    @cached_property
+    def s(self) -> tuple:
+        return tuple(np.repeat(self.levels[1:], np.diff(self.ends)).tolist())
+
+    @cached_property
+    def arrivals(self) -> tuple:
+        return tuple(np.repeat(np.add(self.ends[:-1], 1),
+                               np.diff(self.levels)).tolist())
+
+    @cached_property
+    def branch_fanout(self) -> tuple:
+        return tuple(1 << (b - a) for a, b in zip(self.levels, self.levels[1:]))
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -81,16 +93,23 @@ def _integer_array(name: str, values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _sizes(n, k) -> tuple:
+    """n and k as ints of at least 1; a float, bool or string is refused."""
+    if not all(type(v) is int or isinstance(v, np.integer) for v in (n, k)):
+        raise ProfileError("n and k must be integers")
+    n, k = int(n), int(k)
+    if n < 1 or k < 1:
+        raise ProfileError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    return n, k
+
+
 def profile_from_s(n: int, k: int, s) -> TreeProfile:
-    """Build and fully derive a TreeProfile from its s-vector.
+    """Build a TreeProfile from its s-vector, keeping only its stages.
 
     Rejects non-integer entries, non-monotone s, s(1) < 1, or s(n) != k,
     naming the first offending (1-based) time index.
     """
-    _integer_array("n and k", [n, k])
-    n, k = int(n), int(k)
-    if n < 1 or k < 1:
-        raise ProfileError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     s = _integer_array("the entries of s", s)
     if len(s) != n:
         raise ProfileError(f"s has length {len(s)}, expected n={n}")
@@ -105,17 +124,9 @@ def profile_from_s(n: int, k: int, s) -> TreeProfile:
 
     # 0-based indices of the branching times b_2..b_{h_f}, so also b_h - 1
     rises = np.flatnonzero(steps) + 1
-    levels = [0, int(s[0])] + s[rises].tolist()
-    ends = [0] + rises.tolist() + [n]
-    return TreeProfile(
-        n=n,
-        k=k,
-        s=tuple(s.tolist()),
-        arrivals=tuple((np.searchsorted(s, np.arange(1, k + 1)) + 1).tolist()),
-        levels=tuple(levels),
-        ends=tuple(ends),
-        branch_fanout=tuple(1 << (b - a) for a, b in zip(levels, levels[1:])),
-    )
+    return TreeProfile(n=n, k=k,
+                       levels=(0, int(s[0]), *s[rises].tolist()),
+                       ends=(0, *rises.tolist(), n))
 
 
 def profile_from_arrivals(n: int, arrivals) -> TreeProfile:
@@ -136,8 +147,10 @@ def profile_from_arrivals(n: int, arrivals) -> TreeProfile:
 
 
 def pure_random_profile(n: int, k: int) -> TreeProfile:
-    """Profile with every bit arriving at t=1: a single branching stage."""
-    return profile_from_s(n, k, [k] * n)
+    """Profile with every bit arriving at t=1: a single branching stage of
+    2^k children, built in O(1) whatever n and k."""
+    n, k = _sizes(n, k)
+    return TreeProfile(n=n, k=k, levels=(0, k), ends=(0, n))
 
 
 def profile_from_json_dict(doc: dict) -> TreeProfile:

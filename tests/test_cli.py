@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
@@ -20,6 +22,16 @@ from cort.tree_code import load_profile, profile_from_arrivals
 
 def run(tmp_path, *argv):
     return main(["--results-dir", str(tmp_path / "results"), *argv])
+
+
+def run_traced(tmp_path, *argv):
+    """run's exit code and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, *argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def two_stage(tmp_path) -> str:
@@ -69,14 +81,11 @@ class TestBoundCommand:
         assert run(tmp_path, "bound", "--profile", str(path), "--p", "0.05") == 2
         assert message in capsys.readouterr().err
 
-    def test_pure_grid_checked_before_profile(self, tmp_path, capsys,
-                                              monkeypatch):
-        def unbuilt(n, k):
-            raise AssertionError("profile built before the memory check")
-
-        monkeypatch.setattr(cli, "pure_random_profile", unbuilt)
-        assert run(tmp_path, "bound", "--profile", "pure", "--n", "10000000",
-                   "--k", "1", "--p", "0.1") == 2
+    def test_pure_grid_checked_before_profile(self, tmp_path, capsys):
+        # nothing of n's size is allocated before the refusal
+        code, peak = run_traced(tmp_path, "bound", "--profile", "pure",
+                                "--n", "10000000", "--k", "1", "--p", "0.1")
+        assert code == 2 and peak < 5e6
         assert "GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
@@ -317,16 +326,13 @@ class TestSimulateCommand:
         ("1", "20000", "c_0 = 2^20000;"),
     ], ids=["memory", "root-fanout", "root-fanout-digits"])
     def test_pure_sizes_checked_before_profile(self, tmp_path, capsys,
-                                               monkeypatch, n, k, message):
-        # a (1e9, 1) pure profile takes 32 GB to build, and 2^20000 has
-        # more digits than str() converts
-        def unbuilt(n, k):
-            raise AssertionError("profile built before the checks")
-
-        monkeypatch.setattr(cli, "pure_random_profile", unbuilt)
-        assert run(tmp_path, "simulate", "--profile", "pure", "--n", n,
-                   "--k", k, "--p", "0.1", "--trials", "1",
-                   "--threads", "1") == 2
+                                               n, k, message):
+        # an s-vector of n = 1e9 would take 32 GB, and 2^20000 has more
+        # digits than str() converts: nothing of that size is allocated
+        code, peak = run_traced(tmp_path, "simulate", "--profile", "pure",
+                                "--n", n, "--k", k, "--p", "0.1",
+                                "--trials", "1", "--threads", "1")
+        assert code == 2 and peak < 5e6
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("limit", ["64", "64.0", "6.4e1", "+64"])
@@ -525,10 +531,53 @@ def test_bound_n_just_beyond_memory_rejected(tmp_path, capsys, monkeypatch):
         raise AssertionError("built before the memory check")
 
     monkeypatch.setattr(cli, "MomentTables", refuse)
-    monkeypatch.setattr(cli, "pure_random_profile", refuse)
-    assert run(tmp_path, "bound", "--profile", "pure", "--n", str(n),
-               "--k", "1", "--p", "0.1") == 2
+    code, peak = run_traced(tmp_path, "bound", "--profile", "pure",
+                            "--n", str(n), "--k", "1", "--p", "0.1")
+    assert code == 2 and peak < 5e6
     assert "GB" in capsys.readouterr().err
+
+
+BEYOND_FLOATS = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--profile", "pure", "--n", "8", "--k", "4", "--p", "0.1",
+     "--grid-points", BEYOND_FLOATS],
+    ["sbp", "--n", "8", "--k", "4", "--p", "0.1",
+     "--grid-points", BEYOND_FLOATS],
+    ["tables", "--grid-points", BEYOND_FLOATS],
+    ["simulate", "--p", "0.1", "--trials", "1", "--threads", "1",
+     "--limit", BEYOND_FLOATS, "--profile", "two-stage"],
+    ["simulate", "--p", "0.1", "--trials", "1", "--threads", "1",
+     "--profile", "wide"],
+], ids=["bound-grid", "sbp-grid", "tables-grid", "simulate-limit",
+        "simulate-stage"])
+def test_estimate_beyond_float_range_rejected(tmp_path, capsys, argv):
+    # each estimate passes 1.8e308 bytes, where a float of it overflows;
+    # the (3, 1101) profile's second stage has 2^1100 children
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 3, "k": 1101, "s": [1, 1101, 1101]}))
+    files = {"two-stage": two_stage(tmp_path), "wide": str(wide)}
+    assert run(tmp_path, *(files.get(a, a) for a in argv)) == 2
+    assert re.search(r"about \d\.\de\+\d+ GB", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--profile", "pure", "--n", "1", "--k", "10000000000",
+      "--p", "0.1"], "not finite"),
+    (["bound", "--profile", "file", "--p", "0.1"], "not finite"),
+    (["simulate", "--profile", "file", "--p", "0.1", "--trials", "1",
+      "--threads", "1"], "GB"),
+], ids=["bound-pure", "bound-file", "simulate-file"])
+def test_k_far_above_n_rejected_unbuilt(tmp_path, capsys, argv, message):
+    # k = 1e10 arrival times would take 80 GB: none is formed, and neither
+    # is the 2^(k - 1) fanout of the file profile's second stage
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"n": 2, "k": 10 ** 10, "s": [1, 10 ** 10]}))
+    code, peak = run_traced(tmp_path, *(str(path) if a == "file" else a
+                                        for a in argv))
+    assert code == 2 and peak < 5e6
+    assert message in capsys.readouterr().err
 
 
 class TestValidationLeavesNoPartialFiles:
@@ -721,7 +770,8 @@ def test_fuzz_main_exits_cleanly(command, data):
             trials = data.draw(st.integers(-1, 4), label="trials")
             argv += [f"--trials={trials}", "--threads=1", f"--out={out}"]
         else:
-            grid = data.draw(st.integers(-2, 64), label="grid_points")
+            grid = data.draw(st.one_of(st.integers(-2, 64),
+                                       st.just(10 ** 400)), label="grid_points")
             argv += [f"--grid-points={grid}",
                      f"--out-trace={out}" if command == "sbp" else f"--out={out}"]
         with contextlib.redirect_stdout(io.StringIO()), \

@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cort import (ProfileError, encode, profile_from_arrivals,
-                  profile_from_json_dict, profile_from_s, sample_generator)
+from cort import (ProfileError, TreeProfile, encode, profile_from_arrivals,
+                  profile_from_json_dict, profile_from_s, pure_random_profile,
+                  sample_generator)
 from cort.streams import GENERATOR_STREAM
 from cort.tree_code import load_profile
 
@@ -133,6 +136,69 @@ class TestDerivedInvariants:
     def test_stage_ends(self):
         prof = profile_from_s(4, 2, [1, 1, 2, 2])
         assert prof.ends == (0, 2, 4)
+
+
+@st.composite
+def arrival_vectors(draw):
+    """(n, arrivals): sorted 1-based arrival times with a_1 = 1."""
+    n = draw(st.integers(1, 40))
+    rest = draw(st.lists(st.integers(1, n), max_size=39))
+    return n, [1, *sorted(rest)]
+
+
+class TestStageStorage:
+    """A profile keeps its stages; s, the arrivals and the fanouts are
+    read off them, and equal what construction once derived from s."""
+
+    def test_fields_are_the_stages(self):
+        assert [f.name for f in dataclasses.fields(TreeProfile)] \
+            == ["n", "k", "levels", "ends"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrival_vectors())
+    def test_derived_equal_derivations_from_s(self, case):
+        n, a = case
+        prof = profile_from_arrivals(n, a)
+        s = [sum(x <= t for x in a) for t in range(1, n + 1)]
+        arr = np.asarray(s)
+        rises = np.flatnonzero(np.diff(arr)) + 1
+        levels = [0, s[0]] + arr[rises].tolist()
+        assert prof.s == tuple(s)
+        assert prof.arrivals == tuple(
+            (np.searchsorted(arr, np.arange(1, len(a) + 1)) + 1).tolist())
+        assert prof.levels == tuple(levels)
+        assert prof.ends == (0, *rises.tolist(), n)
+        assert prof.branch_fanout == tuple(
+            1 << (hi - lo) for lo, hi in zip(levels, levels[1:]))
+        rows = np.arange(1, n + 1)[:, None]
+        assert np.array_equal(prof.support,
+                              (rows >= np.asarray(a)[None, :]).view(np.uint8))
+        assert all(type(v) is int for v in (*prof.s, *prof.arrivals,
+                                             *prof.levels, *prof.ends))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrival_vectors())
+    def test_json_round_trip(self, case):
+        prof = profile_from_arrivals(*case)
+        doc = json.loads(json.dumps(prof.to_json_dict()))
+        assert profile_from_json_dict(doc) == prof
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 300))
+    def test_pure_equals_its_s_vector(self, n, k):
+        pure, built = pure_random_profile(n, k), profile_from_s(n, k, [k] * n)
+        assert pure == built and hash(pure) == hash(built)
+        assert pure.s == built.s and pure.arrivals == built.arrivals
+
+    def test_pure_built_without_its_vectors(self):
+        tracemalloc.start()
+        try:
+            prof = pure_random_profile(10 ** 9, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert (prof.levels, prof.ends) == ((0, 1), (0, 10 ** 9))
 
 
 class TestGeneratorSampling:
