@@ -309,9 +309,11 @@ def d_e_g(profile: TreeProfile, cm: CostModel, limit: float,
     one)."""
     _check_limit(limit)
     _require_match(tables, profile.n, cm)
+    # float64 levels are exact below 2^53, and a level from 2^63 on gives an
+    # overflowing term rather than an object array
     cle, varrho, cfe, rho = (float(v[0]) for v in bound_values(
-        np.array([profile.levels]), np.array([profile.ends]), profile.k,
-        limit, tables))
+        np.array([profile.levels], dtype=float), np.array([profile.ends]),
+        profile.k, limit, tables))
     return BoundReport(d_cle_g=cle, d_cfe_g=cfe, d_e_g=cle + cfe,
                        varrho_star=varrho, rho_star=rho, profile=profile,
                        p=cm.p, gamma=cm.gamma, limit=float(limit))

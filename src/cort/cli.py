@@ -178,15 +178,13 @@ def _gigabytes(est: int) -> str:
     return f"{Decimal(est) / 10 ** 9:.1e}"
 
 
-def _validate_grid_points(args, n: int, stages: int):
-    if args.grid_points < 2:
-        raise CliError(f"--grid-points must be at least 2, got {args.grid_points}")
-    est = bound_memory_bytes(n, stages, args.grid_points)
+def _check_tables_memory(n: int, stages: int):
+    """Refuse moment tables and bound terms at n beyond MEMORY_CEILING."""
+    est = bound_memory_bytes(n, stages, DEFAULT_GRID_POINTS)
     if est > MEMORY_CEILING:
         raise CliError(
-            f"--grid-points {args.grid_points} could need about {_gigabytes(est)} "
-            f"GB of moment and window tables and bound terms at n = {n}; "
-            f"use fewer points")
+            f"n = {n} could need about {_gigabytes(est)} GB of moment and "
+            f"window tables and bound terms; use a smaller n")
 
 
 def _validate_limit(args):
@@ -219,10 +217,10 @@ def _require_finite(docs, n: int, k: int, limit: float):
 def cmd_bound(args) -> int:
     _validate_channel(args)
     prof = _resolve_profile(args)
-    _validate_grid_points(args, prof.n, prof.num_stages)
+    _check_tables_memory(prof.n, prof.num_stages)
     _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
-    tables = MomentTables(prof.n, args.p, args.gamma, args.grid_points)
+    tables = MomentTables(prof.n, args.p, args.gamma)
     report = d_e_g(prof, cm, args.limit, tables)
     _require_finite([vars(report)], prof.n, prof.k, args.limit)
     rcu = (rcu_exact_bsc(prof.n, prof.k, args.p) if prof.n <= RCU_MAX_N
@@ -247,10 +245,15 @@ def cmd_sbp(args) -> int:
     _validate_channel(args)
     if args.n < 1 or args.k < 1:
         raise CliError(f"--n and --k must be at least 1, got {args.n}, {args.k}")
-    _validate_grid_points(args, args.n, min(args.n + 1, args.k))
+    _check_tables_memory(args.n, min(args.n + 1, args.k))
     _validate_limit(args)
+    # a k-bit final profile has a stage of w >= ceil(k / n) bits, whose term
+    # 2^w / L overflows once w - log2 L >= 1024: refuse it before any step
+    if -(-args.k // args.n) >= 1025 + math.log2(args.limit):
+        _require_finite([{"d_e_g": math.inf, "d_cle_g": math.inf}],
+                        args.n, args.k, args.limit)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=args.n)
-    tables = MomentTables(args.n, args.p, args.gamma, args.grid_points)
+    tables = MomentTables(args.n, args.p, args.gamma)
     trace = sbp_optimize(args.n, args.k, cm, args.limit, tables)
     payload = trace.to_json_dict()
     _require_finite(payload["steps"], args.n, args.k, args.limit)
@@ -349,14 +352,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def table_rows(table: int, grid_points: int = DEFAULT_GRID_POINTS):
+def table_rows(table: int):
     """Reproduce one reference table: per-column profile optimization, with
     the bounds of its last step (those of its final profile), the printed
     values and their additive check."""
     ref = REFERENCE_TABLES[table]
     p, gamma = ref["p"], ref["gamma"]
     cm = CostModel(channel=BscChannel(p), gamma=gamma, n=REFERENCE_N)
-    tables = MomentTables(REFERENCE_N, p, gamma, grid_points)
+    tables = MomentTables(REFERENCE_N, p, gamma)
     rows = []
     for i, limit in enumerate(REFERENCE_LIMITS):
         last = sbp_optimize(REFERENCE_N, REFERENCE_K, cm, limit,
@@ -371,7 +374,6 @@ def table_rows(table: int, grid_points: int = DEFAULT_GRID_POINTS):
 
 
 def cmd_tables(args) -> int:
-    _validate_grid_points(args, REFERENCE_N, REFERENCE_K)
     tables_to_run = [args.paper_table] if args.paper_table else [1, 2, 3, 4]
     header = ["n", "k", "p", "gamma", "L", "d_cle_g", "d_cfe_g", "d_e_g",
               "varrho", "rho", "printed_d_cle_g", "printed_d_cfe_g",
@@ -379,7 +381,7 @@ def cmd_tables(args) -> int:
     all_rows = []
     for tab in tables_to_run:
         print(f"table {tab}:")
-        for row in table_rows(tab, args.grid_points):
+        for row in table_rows(tab):
             all_rows.append(row)
             flag = "" if row[-1] else "  [printed row additively inconsistent]"
             print(f"  L={row[4]:.0e}: d_cle_g={row[5]:.3e} d_cfe_g={row[6]:.3e} "
@@ -417,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--p", type=float, required=True)
     pb.add_argument("--gamma", type=float, default=1.0)
     pb.add_argument("--limit", type=float, default=1e9)
-    pb.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     pb.add_argument("--out")
 
     ps = command("sbp", cmd_sbp, "optimize a branching profile greedily")
@@ -426,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--gamma", type=float, default=1.0)
     ps.add_argument("--limit", type=float, default=1e9)
-    ps.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     ps.add_argument("--out-profile")
     ps.add_argument("--out-trace")
 
@@ -451,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = command("tables", cmd_tables, "reproduce the reference tables as CSV")
     pt.add_argument("--paper-table", type=int, choices=[1, 2, 3, 4])
-    pt.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     pt.add_argument("--out")
     return parser
 

@@ -230,6 +230,18 @@ class TestCleBound:
         assert math.isclose(report.d_cle_g, min(curve), rel_tol=1e-12)
         assert 2.0 ** (levels[3] - levels[2]) / limit > 0.3 * report.d_cle_g
 
+    def test_level_beyond_int64_overflows(self):
+        # the level k = 1e20 is evaluated as a float, not in an object
+        # array, so the root term 2^k / L is inf, with no warning, while
+        # the free part keeps its grid-0 value of one term per stage
+        prof = pure_random_profile(8, 10 ** 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = d_e_g(prof, model(0.1, 1.0, 8), 1e9,
+                           MomentTables(8, 0.1, 1.0))
+        assert report.d_cle_g == math.inf
+        assert (report.d_cfe_g, report.rho_star) == (1.0, 0.0)
+
     def test_invalid_limit(self):
         prof = pure_random_profile(4, 2)
         with pytest.raises(ValueError):

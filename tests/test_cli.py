@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cort import cli, decoder, streams
+from cort import cli, decoder, sbp, streams
 from cort.bounds import RCU_MAX_N, bound_memory_bytes
 from cort.cli import main
 from cort.montecarlo import TrialConfig, simulate
@@ -123,16 +123,6 @@ class TestBoundCommand:
         assert "Permission denied" in err
         assert not any(tmp_path.iterdir())
 
-    def test_grid_refinement(self, tmp_path):
-        values = {}
-        for points in (10, 100):
-            out = tmp_path / f"r{points}.json"
-            assert run(tmp_path, "bound", "--profile", "pure", "--n", "32",
-                       "--k", "16", "--p", "0.04", "--limit", "1e6",
-                       "--grid-points", str(points), "--out", str(out)) == 0
-            values[points] = json.loads(out.read_text())["d_e_g"]
-        assert values[100] <= values[10]
-
     def test_writes_run_record(self, tmp_path):
         assert run(tmp_path, "bound", "--profile", "pure", "--n", "8",
                    "--k", "4", "--p", "0.1") == 0
@@ -240,6 +230,38 @@ class TestSbpCommand:
         assert err.startswith("error: d_e_g, d_cle_g not finite")
         assert not trace.exists()
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("k", [4217, 1000000000], ids=["4217", "1e9"])
+    def test_certain_overflow_refused_unrun(self, tmp_path, capsys,
+                                            monkeypatch, k):
+        # ceil(k / 4) >= 1055 > 1025 + log2 1e9: some final stage's term
+        # overflows, so neither the tables nor the k - 1 steps are run
+        def refuse(*args):
+            raise AssertionError("ran before the overflow check")
+
+        monkeypatch.setattr(cli, "MomentTables", refuse)
+        monkeypatch.setattr(cli, "sbp_optimize", refuse)
+        assert run(tmp_path, "sbp", "--n", "4", "--k", str(k),
+                   "--p", "0.1") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: d_e_g, d_cle_g not finite")
+
+    def test_overflow_below_early_threshold_refused_after_run(
+            self, tmp_path, capsys, monkeypatch):
+        # ceil(4216 / 4) = 1054 < 1025 + log2 1e9: the steps run, and their
+        # non-finite bounds are refused as before
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sbp.sbp_optimize(*args)
+
+        monkeypatch.setattr(cli, "sbp_optimize", counted)
+        assert run(tmp_path, "sbp", "--n", "4", "--k", "4216",
+                   "--p", "0.1") == 2
+        assert len(calls) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: d_e_g, d_cle_g not finite")
 
     def test_huge_budget_concentrates(self, tmp_path):
         prof_path = tmp_path / "profile.json"
@@ -492,32 +514,34 @@ class TestTablesCommand:
         assert rows[0][4] == 1000000000.0
 
 
-GRID_COMMANDS = pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv", [
     ["bound", "--profile", "pure", "--n", "8", "--k", "4", "--p", "0.05"],
     ["sbp", "--n", "8", "--k", "4", "--p", "0.05"],
     ["tables", "--paper-table", "1"],
 ], ids=["bound", "sbp", "tables"])
+def test_grid_points_is_usage_error(tmp_path, capsys, argv):
+    # every bound is evaluated on the fixed 10-point grid
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, "--grid-points", "10")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-points" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
-@GRID_COMMANDS
-def test_single_grid_point_rejected(tmp_path, capsys, argv):
-    assert run(tmp_path, *argv, "--grid-points", "1") == 2
-    assert "--grid-points" in capsys.readouterr().err
+def test_sbp_n_just_beyond_memory_rejected(tmp_path, capsys, monkeypatch):
+    # as test_bound_n_just_beyond_memory_rejected, for the 64 stages that an
+    # sbp sweep to k = 64 may reach
+    n = next(n for n in range(1, 10 ** 6)
+             if bound_memory_bytes(n, 64, 10) > cli.MEMORY_CEILING)
 
+    def refuse(*args):
+        raise AssertionError("built before the memory check")
 
-@GRID_COMMANDS
-def test_grid_beyond_memory_rejected(tmp_path, capsys, argv):
-    assert run(tmp_path, *argv, "--grid-points", "100000000") == 2
-    assert "GB" in capsys.readouterr().err
-
-
-def test_sbp_grid_just_beyond_memory_rejected(tmp_path, capsys):
-    # the smallest grid whose estimate at (128, 64) exceeds the ceiling
-    points = next(g for g in range(2, 10 ** 6)
-                  if bound_memory_bytes(128, 64, g) > cli.MEMORY_CEILING)
-    assert run(tmp_path, "sbp", "--n", "128", "--k", "64", "--p", "0.03",
-               "--grid-points", str(points)) == 2
-    assert f"--grid-points {points}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MomentTables", refuse)
+    code, peak = run_traced(tmp_path, "sbp", "--n", str(n), "--k", "64",
+                            "--p", "0.1")
+    assert code == 2 and peak < 5e6
+    assert f"n = {n} could need about" in capsys.readouterr().err
 
 
 def test_bound_n_just_beyond_memory_rejected(tmp_path, capsys, monkeypatch):
@@ -541,17 +565,14 @@ BEYOND_FLOATS = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("argv", [
-    ["bound", "--profile", "pure", "--n", "8", "--k", "4", "--p", "0.1",
-     "--grid-points", BEYOND_FLOATS],
-    ["sbp", "--n", "8", "--k", "4", "--p", "0.1",
-     "--grid-points", BEYOND_FLOATS],
-    ["tables", "--grid-points", BEYOND_FLOATS],
+    ["bound", "--profile", "pure", "--n", BEYOND_FLOATS, "--k", "4",
+     "--p", "0.1"],
+    ["sbp", "--n", BEYOND_FLOATS, "--k", "4", "--p", "0.1"],
     ["simulate", "--p", "0.1", "--trials", "1", "--threads", "1",
      "--limit", BEYOND_FLOATS, "--profile", "two-stage"],
     ["simulate", "--p", "0.1", "--trials", "1", "--threads", "1",
      "--profile", "wide"],
-], ids=["bound-grid", "sbp-grid", "tables-grid", "simulate-limit",
-        "simulate-stage"])
+], ids=["bound-n", "sbp-n", "simulate-limit", "simulate-stage"])
 def test_estimate_beyond_float_range_rejected(tmp_path, capsys, argv):
     # each estimate passes 1.8e308 bytes, where a float of it overflows;
     # the (3, 1101) profile's second stage has 2^1100 children
@@ -565,13 +586,17 @@ def test_estimate_beyond_float_range_rejected(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv,message", [
     (["bound", "--profile", "pure", "--n", "1", "--k", "10000000000",
       "--p", "0.1"], "not finite"),
+    (["bound", "--profile", "pure", "--n", "8", "--k",
+      "100000000000000000000", "--p", "0.1"], "d_cle_g, d_e_g not finite"),
     (["bound", "--profile", "file", "--p", "0.1"], "not finite"),
     (["simulate", "--profile", "file", "--p", "0.1", "--trials", "1",
       "--threads", "1"], "GB"),
-], ids=["bound-pure", "bound-file", "simulate-file"])
+], ids=["bound-pure", "bound-pure-beyond-int64", "bound-file",
+        "simulate-file"])
 def test_k_far_above_n_rejected_unbuilt(tmp_path, capsys, argv, message):
     # k = 1e10 arrival times would take 80 GB: none is formed, and neither
-    # is the 2^(k - 1) fanout of the file profile's second stage
+    # is the 2^(k - 1) fanout of the file profile's second stage; a level
+    # of 1e20, beyond int64, is evaluated as a float, not an object array
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({"n": 2, "k": 10 ** 10, "s": [1, 10 ** 10]}))
     code, peak = run_traced(tmp_path, *(str(path) if a == "file" else a
@@ -664,12 +689,12 @@ SIMULATE = ["simulate", "--profile", "pure", "--n", "8", "--k", "3", "--p",
     [*SIMULATE, "--thr", "1"],
     [*SIMULATE, "--resample"],
     ["bound", "--prof", "pure", "--n", "8", "--k", "4", "--p", "0.1"],
-    ["sbp", "--n", "4", "--k", "2", "--p", "0.1", "--grid", "3"],
+    ["sbp", "--n", "4", "--k", "2", "--p", "0.1", "--out-prof", "x.json"],
     ["tables", "--paper", "1"],
     ["--results", "DIR", "bound", "--profile", "pure", "--n", "8", "--k",
      "4", "--p", "0.1"],
 ], ids=["simulate-threads", "simulate-resample-code", "bound-profile",
-        "sbp-grid-points", "tables-paper-table", "results-dir"])
+        "sbp-out-profile", "tables-paper-table", "results-dir"])
 def test_abbreviated_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     # each flag is accepted only as declared, not as a prefix of it
     monkeypatch.chdir(tmp_path)
@@ -770,17 +795,18 @@ def test_fuzz_main_exits_cleanly(command, data):
             trials = data.draw(st.integers(-1, 4), label="trials")
             argv += [f"--trials={trials}", "--threads=1", f"--out={out}"]
         else:
-            grid = data.draw(st.one_of(st.integers(-2, 64),
-                                       st.just(10 ** 400)), label="grid_points")
-            argv += [f"--grid-points={grid}",
-                     f"--out-trace={out}" if command == "sbp" else f"--out={out}"]
+            argv += [f"--out-trace={out}" if command == "sbp" else f"--out={out}"]
+        err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 2)
+        # a flag the parser no longer knows would turn every example into
+        # the same usage error
+        assert "unrecognized arguments" not in err.getvalue()
         with contextlib.suppress(FileNotFoundError), open(out) as fh:
             assert all_finite(json.load(fh))
 

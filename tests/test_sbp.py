@@ -438,3 +438,19 @@ class TestDesignPins:
                                     rel_tol=1e-9), (config, key)
             final = d_e_g(trace.final_profile, cm, limit, tables)
             assert last.d_e_g == final.d_e_g
+
+    def test_finer_grid_gives_the_same_traces(self):
+        # why `cort` fixes the grid at 10 points: on 101 points each of the
+        # four traces is the same step for step, every minimum lying at a
+        # grid end, and the last step's at varrho = rho = 1
+        design = json.loads(self.SPEC.read_text())["workloads"]["design-128x64"]
+        n, k, limit = design["n"], design["k"], design["limit"]
+        for config in design["configs"]:
+            traces = []
+            for points in (10, 101):
+                cm, tables = setup(n, config["p"], gamma=config["gamma"],
+                                   grid_points=points)
+                traces.append(sbp_optimize(n, k, cm, limit, tables))
+            assert traces[0] == traces[1], config
+            last = traces[0].steps[-1]
+            assert (last.varrho_star, last.rho_star) == (1.0, 1.0)
