@@ -13,8 +13,7 @@ from .montecarlo import (SimStats, TrialConfig, ml_consistency_check,
                          ml_oracle, simulate)
 from .sbp import SbpStep, SbpTrace, candidate_sweep, sbp_optimize
 from .tree_code import (GeneratorMatrix, ProfileError, TreeProfile, encode,
-                        load_profile, profile_from_arrivals,
-                        profile_from_json_dict, profile_from_s,
+                        load_profile, profile_from_arrivals, profile_from_s,
                         pure_random_profile, sample_generator)
 
 __all__ = [
@@ -24,7 +23,7 @@ __all__ = [
     "check_aec", "d_cle_m_exact",
     "d_e_g", "encode", "gallager_reference_bsc", "load_profile",
     "ml_consistency_check", "ml_oracle", "prefix_cost",
-    "profile_from_arrivals", "profile_from_json_dict", "profile_from_s",
+    "profile_from_arrivals", "profile_from_s",
     "pure_random_profile", "rcu_exact_bsc", "sample_generator",
     "sbp_optimize", "simulate", "ssdgu_decode", "transmit",
 ]

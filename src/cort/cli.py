@@ -62,7 +62,7 @@ class CliError(Exception):
 
 
 def results_dir(args) -> str:
-    return args.results_dir or os.environ.get(RESULTS_ENV, "results")
+    return args.results_dir or os.environ.get(RESULTS_ENV) or "results"
 
 
 def _simulate_csv(args) -> str:
@@ -146,14 +146,31 @@ def _whole_number(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
 
 
+def _checked(convert, rule: str, ok):
+    """An argparse type: the value convert makes of the text, refused with
+    "must be <rule>" unless ok accepts it."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # so "invalid int value: 'x'"
+    return parse
+
+
+def _crossover(text: str) -> float:
+    """--p's value, checked by BscChannel, where the rule on p is written."""
+    try:
+        return BscChannel(float(text)).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _resolve_profile(args):
     """The profile --profile names."""
     if args.profile == "pure":
         if args.n is None or args.k is None:
             raise CliError("--profile pure requires --n and --k")
-        if min(args.n, args.k) < 1:
-            raise CliError(f"--profile pure: need n >= 1 and k >= 1, "
-                           f"got n={args.n}, k={args.k}")
         return pure_random_profile(args.n, args.k)
     try:
         prof = load_profile(args.profile)
@@ -187,20 +204,6 @@ def _check_tables_memory(n: int, stages: int):
             f"window tables and bound terms; use a smaller n")
 
 
-def _validate_limit(args):
-    if not 1 <= args.limit < math.inf:
-        raise CliError(f"--limit must be finite and at least 1, got {args.limit}")
-
-
-def _validate_channel(args):
-    try:
-        BscChannel(args.p)
-    except ValueError as exc:
-        raise CliError(f"--p: {exc}") from exc
-    if not 0.0 < args.gamma <= 1.0:
-        raise CliError(f"--gamma must be in (0, 1], got {args.gamma}")
-
-
 def _require_finite(docs, n: int, k: int, limit: float):
     """Reject, before anything is printed or written, results whose float
     fields in the dicts `docs` are not finite, naming each such field."""
@@ -215,10 +218,8 @@ def _require_finite(docs, n: int, k: int, limit: float):
 
 
 def cmd_bound(args) -> int:
-    _validate_channel(args)
     prof = _resolve_profile(args)
     _check_tables_memory(prof.n, prof.num_stages)
-    _validate_limit(args)
     cm = CostModel(channel=BscChannel(args.p), gamma=args.gamma, n=prof.n)
     tables = MomentTables(prof.n, args.p, args.gamma)
     report = d_e_g(prof, cm, args.limit, tables)
@@ -242,11 +243,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sbp(args) -> int:
-    _validate_channel(args)
-    if args.n < 1 or args.k < 1:
-        raise CliError(f"--n and --k must be at least 1, got {args.n}, {args.k}")
     _check_tables_memory(args.n, min(args.n + 1, args.k))
-    _validate_limit(args)
     # a k-bit final profile has a stage of w >= ceil(k / n) bits, whose term
     # 2^w / L overflows once w - log2 L >= 1024: refuse it before any step
     if -(-args.k // args.n) >= 1025 + math.log2(args.limit):
@@ -306,9 +303,6 @@ def _check_memory(args, prof):
 
 
 def cmd_simulate(args) -> int:
-    _validate_channel(args)
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
         raise CliError(f"--threads must be between 1 and the {cpus} CPUs "
@@ -405,6 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"run-record directory (default: ${RESULTS_ENV} "
                              "or ./results)")
     sub = parser.add_subparsers(dest="command", required=True)
+    count = _checked(int, "at least 1", lambda v: v >= 1)
+    gamma = _checked(float, "in (0, 1]", lambda g: 0.0 < g <= 1.0)
+    limit = _checked(float, "finite and at least 1",
+                     lambda v: 1 <= v < math.inf)
 
     def command(name, func, summary):
         cmd = sub.add_parser(name, allow_abbrev=False, help=summary)
@@ -414,30 +412,30 @@ def build_parser() -> argparse.ArgumentParser:
     pb = command("bound", cmd_bound, "evaluate the error bounds for a profile")
     pb.add_argument("--profile", required=True,
                     help='profile JSON path, or "pure" for s(1) = k')
-    pb.add_argument("--n", type=int)
-    pb.add_argument("--k", type=int)
-    pb.add_argument("--p", type=float, required=True)
-    pb.add_argument("--gamma", type=float, default=1.0)
-    pb.add_argument("--limit", type=float, default=1e9)
+    pb.add_argument("--n", type=count)
+    pb.add_argument("--k", type=count)
+    pb.add_argument("--p", type=_crossover, required=True)
+    pb.add_argument("--gamma", type=gamma, default=1.0)
+    pb.add_argument("--limit", type=limit, default=1e9)
     pb.add_argument("--out")
 
     ps = command("sbp", cmd_sbp, "optimize a branching profile greedily")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--p", type=float, required=True)
-    ps.add_argument("--gamma", type=float, default=1.0)
-    ps.add_argument("--limit", type=float, default=1e9)
+    ps.add_argument("--n", type=count, required=True)
+    ps.add_argument("--k", type=count, required=True)
+    ps.add_argument("--p", type=_crossover, required=True)
+    ps.add_argument("--gamma", type=gamma, default=1.0)
+    ps.add_argument("--limit", type=limit, default=1e9)
     ps.add_argument("--out-profile")
     ps.add_argument("--out-trace")
 
     pm = command("simulate", cmd_simulate, "Monte Carlo decoder statistics")
     pm.add_argument("--profile", required=True)
-    pm.add_argument("--n", type=int)
-    pm.add_argument("--k", type=int)
-    pm.add_argument("--p", type=float, required=True)
-    pm.add_argument("--gamma", type=float, default=1.0)
+    pm.add_argument("--n", type=count)
+    pm.add_argument("--k", type=count)
+    pm.add_argument("--p", type=_crossover, required=True)
+    pm.add_argument("--gamma", type=gamma, default=1.0)
     pm.add_argument("--limit", type=_whole_number, default=4096)
-    pm.add_argument("--trials", type=int, required=True)
+    pm.add_argument("--trials", type=count, required=True)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--resample-code", action="store_true", default=False,
                     help="draw a fresh generator for every trial (the "

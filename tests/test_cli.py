@@ -89,10 +89,8 @@ class TestBoundCommand:
         assert "GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
-        (["--n", "4", "--k", "2", "--limit", "nan"], "--limit"),
-        (["--n", "4", "--k", "0"], "k >= 1"),
         (["--n", "4"], "--profile pure requires --n and --k"),
-    ], ids=["nan-limit", "zero-k", "missing-k"])
+    ], ids=["missing-k"])
     def test_invalid_sizes_and_limit(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "bound", "--profile", "pure", "--p", "0.1",
                    *argv) == 2
@@ -208,15 +206,6 @@ class TestSbpCommand:
         trace = json.loads(trace_path.read_text())
         assert len(trace["steps"]) == 3
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--n", "4", "--k", "2", "--limit", "nan"], "--limit"),
-        (["--n", "0", "--k", "0"], "--n and --k"),
-    ], ids=["nan-limit", "zero-sizes"])
-    def test_invalid_sizes_and_limit(self, tmp_path, capsys, argv, message):
-        assert run(tmp_path, "sbp", "--p", "0.1", *argv) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "results").exists()
-
     def test_overflowing_bound_rejected(self, tmp_path, capsys):
         # from step 1023 on, a term 2^level / L exceeds the largest float
         trace = tmp_path / "trace.json"
@@ -294,12 +283,6 @@ class TestSimulateCommand:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "n" and len(rows) == 2
 
-    def test_zero_trials_usage_error(self, tmp_path, capsys):
-        code = run(tmp_path, "simulate", "--profile", "pure", "--n", "8",
-                   "--k", "3", "--p", "0.05", "--trials", "0")
-        assert code != 0
-        assert "trials" in capsys.readouterr().err
-
     def test_infeasible_limit_reports_memory(self, tmp_path, capsys):
         # the node checks after the root expansion alone exceed the ceiling
         limit = int(cli.MEMORY_CEILING // decoder.BYTES_PER_CHECK) + 1
@@ -307,12 +290,6 @@ class TestSimulateCommand:
                    "--p", "0.05", "--trials", "10", "--limit", str(limit))
         assert code == 2
         assert "GB" in capsys.readouterr().err
-
-    def test_zero_k_usage_error(self, tmp_path, capsys):
-        code = run(tmp_path, "simulate", "--profile", "pure", "--n", "4",
-                   "--k", "0", "--p", "0.05", "--trials", "1")
-        assert code == 2
-        assert "k >= 1" in capsys.readouterr().err
 
     def test_memory_guard_counts_workers(self, tmp_path, capsys,
                                          monkeypatch):
@@ -479,6 +456,13 @@ class TestResultsDirectory:
         assert not (tmp_path / "env").exists()
         assert not (tmp_path / "results").exists()
 
+    def test_empty_environment_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.RESULTS_ENV, "")
+        assert main(self.BOUND) == 0
+        assert len(list((tmp_path / "results" / "bound").iterdir())) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
+
 
 class TestTablesCommand:
     def test_single_table_csv(self, tmp_path):
@@ -606,14 +590,6 @@ def test_k_far_above_n_rejected_unbuilt(tmp_path, capsys, argv, message):
 
 
 class TestValidationLeavesNoPartialFiles:
-    def test_failed_run_writes_nothing(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = run(tmp_path, "bound", "--profile", "pure", "--n", "8",
-                   "--k", "4", "--p", "0.9", "--out", str(out))
-        assert code != 0
-        assert not out.exists()
-        assert not (tmp_path / "results").exists()
-
     @pytest.mark.parametrize("option, argv", [
         ("--out", ["bound", "--profile", "pure", "--n", "8", "--k", "4",
                    "--p", "0.1"]),
@@ -720,6 +696,48 @@ def test_missing_p_refused_by_parser(tmp_path, capsys, argv):
     assert not (tmp_path / "results").exists()
 
 
+# A valid run of each command, as flag -> value, and its output flag
+VALID_FLAGS = {
+    "bound": {"profile": "pure", "n": "8", "k": "4", "p": "0.1"},
+    "sbp": {"n": "8", "k": "4", "p": "0.1"},
+    "simulate": {"profile": "pure", "n": "8", "k": "3", "p": "0.05",
+                 "trials": "5", "threads": "1"},
+}
+OUT_FLAG = {"bound": "out", "sbp": "out-trace", "simulate": "out"}
+OUT_OF_RANGE = [
+    *((command, "p", value) for command in VALID_FLAGS
+      for value in ("0", "0.5", "0.9", "nan", "1e-400")),
+    *((command, "gamma", value) for command in VALID_FLAGS
+      for value in ("0", "-0.0", "1.5", "nan")),
+    *((command, "limit", value) for command in ("bound", "sbp")
+      for value in ("0.5", "nan", "inf", "1e400")),
+    *((command, flag, value) for command in VALID_FLAGS
+      for flag, value in (("n", "-1"), ("n", "0"), ("k", "0"))),
+    ("simulate", "trials", "0"), ("simulate", "trials", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE,
+                         ids=["-".join(case) for case in OUT_OF_RANGE])
+def test_flag_value_out_of_range_is_usage_error(tmp_path, capsys,
+                                                monkeypatch, command, flag,
+                                                value):
+    # each flag's rule is checked as it is parsed, before any work or file
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("MomentTables", "sbp_optimize", "simulate"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "out.json"
+    flags = {**VALID_FLAGS[command], flag: value, OUT_FLAG[command]: out}
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, *(f"--{f}={v}" for f, v in flags.items()))
+    assert exc.value.code == 2
+    assert f"argument --{flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+    assert not out.exists()
+
+
 # Trial 0's exact pop trace and the exact statistics of a fixed-code campaign
 # on fixed seeds.  The payload equals PINNED_STATS[1] of test_montecarlo.py.
 PINNED_TRACE = """\
@@ -777,7 +795,8 @@ def all_finite(doc):
 @given(command=st.sampled_from(["bound", "sbp", "simulate"]), data=st.data())
 def test_fuzz_main_exits_cleanly(command, data):
     # every input reaches the user as exit 0 or a usage error (exit 2),
-    # and whatever is written holds finite numbers only
+    # a refused input writes nothing, and whatever is written holds finite
+    # numbers only
     n = data.draw(st.integers(-1, 12), label="n")
     k = data.draw(st.integers(-1, n), label="k")
     p = data.draw(odd_or(st.floats(-0.1, 0.6)), label="p")
@@ -793,7 +812,11 @@ def test_fuzz_main_exits_cleanly(command, data):
                  f"--limit={limit}"]
         if command == "simulate":
             trials = data.draw(st.integers(-1, 4), label="trials")
-            argv += [f"--trials={trials}", "--threads=1", f"--out={out}"]
+            # only 1 is valid: no example starts a worker pool
+            threads = data.draw(st.sampled_from(
+                [-1, 0, 1, (os.cpu_count() or 1) + 1]), label="threads")
+            argv += [f"--trials={trials}", f"--threads={threads}",
+                     f"--out={out}"]
         else:
             argv += [f"--out-trace={out}" if command == "sbp" else f"--out={out}"]
         err = io.StringIO()
@@ -807,6 +830,9 @@ def test_fuzz_main_exits_cleanly(command, data):
         # a flag the parser no longer knows would turn every example into
         # the same usage error
         assert "unrecognized arguments" not in err.getvalue()
+        if code == 2:
+            assert not os.path.exists(f"{tmp}/results")
+            assert not os.path.exists(out)
         with contextlib.suppress(FileNotFoundError), open(out) as fh:
             assert all_finite(json.load(fh))
 

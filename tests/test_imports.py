@@ -72,6 +72,6 @@ def test_public_api():
         "candidate_sweep", "check_aec", "d_cle_m_exact", "d_e_g", "encode",
         "gallager_reference_bsc", "load_profile", "ml_consistency_check",
         "ml_oracle", "prefix_cost", "profile_from_arrivals",
-        "profile_from_json_dict", "profile_from_s", "pure_random_profile",
-        "rcu_exact_bsc", "sample_generator", "sbp_optimize", "simulate",
-        "ssdgu_decode", "transmit"}
+        "profile_from_s", "pure_random_profile", "rcu_exact_bsc",
+        "sample_generator", "sbp_optimize", "simulate", "ssdgu_decode",
+        "transmit"}

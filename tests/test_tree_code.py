@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cort import (ProfileError, TreeProfile, encode, profile_from_arrivals,
-                  profile_from_json_dict, profile_from_s, pure_random_profile,
-                  sample_generator)
+                  profile_from_s, pure_random_profile, sample_generator)
 from cort.streams import GENERATOR_STREAM
-from cort.tree_code import load_profile
+from cort.tree_code import load_profile, profile_from_json_dict
 
 
 def all_valid_s(n, k):
